@@ -95,15 +95,35 @@ def session_memory(sid: int) -> tuple[int, int]:
     return rss, sum(_pss_bytes(pid) for pid, _ in members)
 
 
+def session_hwm(sid: int) -> int:
+    """Summed peak resident set (``VmHWM``) of a session's live processes.
+
+    The kernel keeps each process's high-water mark, so no short-lived
+    peak falls between samples.  The sum counts a page once per process
+    mapping it, so it only means "memory held" for processes started by
+    exec, which share no anonymous pages.
+    """
+    total = 0
+    for pid, _ in _members(sid):
+        try:
+            status = Path(f"/proc/{pid}/status").read_text()
+        except (FileNotFoundError, ProcessLookupError, PermissionError):
+            continue
+        for line in status.splitlines():
+            if line.startswith("VmHWM:"):
+                total += int(line.split()[1]) * 1024
+                break
+    return total
+
+
 class MemoryMonitor:
     """Peak summed RSS and PSS of a session, sampled every *interval_s*.
 
     The sampler runs in a process of its own so that its ``/proc`` scans
     never hold up the load generator's event loop; closing its stdin
-    makes it print the peaks and exit.  Reading PSS walks the target's
-    page tables under its memory-map lock, which briefly stalls a process
-    that is mapping or unmapping memory at that moment, so a steady
-    server is sampled rarely and churning pool workers often.
+    makes it print the peaks and exit.  It serves forked processes, whose
+    summed ``VmHWM`` would count shared pages once per process; a peak
+    shorter than *interval_s* can fall between samples.
     """
 
     def __init__(self, sid: int, interval_s: float) -> None:

@@ -1,10 +1,11 @@
 """The served workloads: a stock ``repro serve --tcp`` hit cold and warm.
 
-Untraced runs start exactly ``python -m repro serve --tcp 127.0.0.1:<port>
---shards 2 --shard-jobs 1``; traced runs start ``traced_frontend.py``,
-which builds the same front end with the benchmark's wrappers installed
-in it and in its shards.  Either way the program runs in a session of its
-own and receives only request lines.
+Every run starts exactly ``python -m repro serve --tcp 127.0.0.1:<port>
+--shards 2 --shard-jobs 1``; a traced run only adds ``hook/`` to
+``PYTHONPATH``, whose ``sitecustomize`` installs the benchmark's wrappers
+in the front end and, through the inherited environment, in its shards.
+The program runs in a session of its own and receives only request
+lines.
 
 Rates, sizes and limits are constants, never derived from a measurement
 of the program (see README.md for why each value is what it is).
@@ -28,7 +29,7 @@ import loadgen
 from loadgen import open_loop
 from tracer import TRACE_DIR_ENV
 
-HERE = Path(__file__).resolve().parent
+HOOK_DIR = Path(__file__).resolve().parent / "hook"
 HOST = "127.0.0.1"
 SHARDS = 2
 
@@ -40,10 +41,12 @@ FAST_ALGORITHMS = (
     "color_mis_fast",
 )
 
-# serve-cold: fresh trees, five algorithms in turn, ~40% of 2 cores.
+# serve-cold: fresh trees, five algorithms in turn.
 COLD_RATE = 6.0  # requests/s
 #: Tree size per algorithm (drawn within +-15%), chosen so a request costs
-#: about the same, ~0.13 CPU-s, whichever algorithm serves it.
+#: about the same whichever algorithm serves it: ~70 ms of CPU in the 2-core
+#: host's quiet state (6 req/s is then ~22% of the cores) and 120-180 ms in
+#: its loaded state (~43%); README.md has the per-algorithm figures.
 COLD_SIZES = {
     "luby_fast": 450,
     "fair_tree_fast": 95,
@@ -68,9 +71,6 @@ WARM_LIMIT_S = 0.050
 WARM_DRAIN_S = 5.0
 PRIME_TIMEOUT_S = 120.0
 
-#: A server's memory only grows with its caches, so a slow sample rate
-#: still finds the peak and keeps PSS page-table walks off the request path.
-MEMORY_INTERVAL_S = 2.0
 SETUP_TRIALS = 64
 READY_TIMEOUT_S = 60.0
 STOP_TIMEOUT_S = 20.0
@@ -104,20 +104,20 @@ class Server:
     def launch(cls, work: Path, algorithms, trace_dir: Path | None) -> "Server":
         """Start the front end; ready once each shard answered each algorithm.
 
-        With *trace_dir* the benchmark's traced front end is started
-        instead of the stock one, writing its spans there.
+        With *trace_dir* the same command runs with the benchmark's
+        wrappers installed, writing its spans there.
         """
         port = free_port()
-        env = dict(os.environ, PYTHONPATH=str(Path.cwd() / "src"))
+        src = str(Path.cwd() / "src")
+        env = dict(os.environ, PYTHONPATH=src)
         if trace_dir is not None:
-            argv = [sys.executable, str(HERE / "traced_frontend.py"), "--port", str(port)]
+            env["PYTHONPATH"] = os.pathsep.join((str(HOOK_DIR), src))
             env[TRACE_DIR_ENV] = str(trace_dir)
-        else:
-            argv = [
-                sys.executable, "-m", "repro", "serve",
-                "--tcp", f"{HOST}:{port}",
-                "--shards", str(SHARDS), "--shard-jobs", "1",
-            ]
+        argv = [
+            sys.executable, "-m", "repro", "serve",
+            "--tcp", f"{HOST}:{port}",
+            "--shards", str(SHARDS), "--shard-jobs", "1",
+        ]
         log = work / f"server-{port}.log"
         t0 = time.monotonic()
         with open(log, "ab") as err:
@@ -320,43 +320,45 @@ def run(
     """Set up *setups* times, run the timed window once, check, tear down.
 
     Returns raw measurements: set-up samples, outcomes with their check
-    results, the window, CPU and peak RSS of the program's processes,
-    and what survived the shutdown.
+    results, the window, CPU and peak memory of the program's processes,
+    and what survived each shutdown.
     """
     algorithms = FAST_ALGORITHMS if workload == "serve-cold" else WARM_ALGORITHMS
-    setup_samples = []
+    setup_samples, leaked = [], 0
+    shm_before = procfs.shm_segments()
     for _ in range(setups - 1):
         server = Server.launch(work, algorithms, trace_dir)
         setup_samples.append(server.setup_s)
-        server.stop()
-    shm_before = procfs.shm_segments()
+        leaked += server.stop()
     server = Server.launch(work, algorithms, trace_dir)
     setup_samples.append(server.setup_s)
     out: dict = {"setup_samples": setup_samples, "prime_s": 0.0}
     try:
-        with procfs.MemoryMonitor(server.sid, MEMORY_INTERVAL_S) as memory:
-            if workload == "serve-cold":
-                schedule, facts = cold_schedule(seed, seconds)
-                limit, drain = COLD_LIMIT_S, COLD_DRAIN_S
-            else:
-                pairs = warm_hot_set(seed)
-                t0 = time.monotonic()
-                lines = {f"p{i}": json.dumps({"id": f"p{i}", **p}) for i, p in enumerate(pairs)}
-                replies = loadgen.run(request_all(server.port, lines, PRIME_TIMEOUT_S))
-                out["prime_s"] = time.monotonic() - t0
-                primed = [replies.get(f"p{i}") or {} for i in range(len(pairs))]
-                bad = [i for i, r in enumerate(primed) if _error(r) or r.get("trials") != PRIME_TRIALS]
-                if bad:
-                    raise RuntimeError(f"priming failed for pairs {bad[:5]}")
-                schedule, facts = warm_schedule(seed, seconds, pairs)
-                limit, drain = WARM_LIMIT_S, WARM_DRAIN_S
-            cpu0 = procfs.session_cpu_s(server.sid)
-            outcomes, start, end = loadgen.run(
-                open_loop(HOST, server.port, schedule, drain_s=drain)
-            )
-            cpu_s = procfs.session_cpu_s(server.sid) - cpu0
+        if workload == "serve-cold":
+            schedule, facts = cold_schedule(seed, seconds)
+            limit, drain = COLD_LIMIT_S, COLD_DRAIN_S
+        else:
+            pairs = warm_hot_set(seed)
+            t0 = time.monotonic()
+            lines = {f"p{i}": json.dumps({"id": f"p{i}", **p}) for i, p in enumerate(pairs)}
+            replies = loadgen.run(request_all(server.port, lines, PRIME_TIMEOUT_S))
+            out["prime_s"] = time.monotonic() - t0
+            primed = [replies.get(f"p{i}") or {} for i in range(len(pairs))]
+            bad = [i for i, r in enumerate(primed) if _error(r) or r.get("trials") != PRIME_TRIALS]
+            if bad:
+                raise RuntimeError(f"priming failed for pairs {bad[:5]}")
+            schedule, facts = warm_schedule(seed, seconds, pairs)
+            limit, drain = WARM_LIMIT_S, WARM_DRAIN_S
+        cpu0 = procfs.session_cpu_s(server.sid)
+        outcomes, start, end = loadgen.run(
+            open_loop(HOST, server.port, schedule, drain_s=drain)
+        )
+        cpu_s = procfs.session_cpu_s(server.sid) - cpu0
+        # The front end and its shards are started by exec, not fork, so
+        # their high-water marks share no anonymous pages and add up.
+        peak = procfs.session_hwm(server.sid)
     finally:
-        leaked = server.stop()
+        leaked += server.stop()
     problems = []
     for o in outcomes:
         reply = o.reply()
@@ -372,8 +374,8 @@ def run(
         limit_s=limit,
         window=(start, end),
         cpu_s=cpu_s,
-        peak_rss=memory.peak_rss,
-        peak_pss=memory.peak_pss,
+        peak_rss=peak,
+        peak_memory=peak,
         leak_processes=leaked,
         leak_shm=len(procfs.shm_segments() - shm_before),
     )
