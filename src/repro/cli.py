@@ -48,7 +48,7 @@ from .core.registry import available, make
 from .graphs.graph import StaticGraph
 from .graphs.spec import GraphSpecError, build_graph
 
-__all__ = ["main", "parse_graph_spec"]
+__all__ = ["main"]
 
 
 def _graph_from_spec(spec: str) -> StaticGraph:
@@ -57,22 +57,6 @@ def _graph_from_spec(spec: str) -> StaticGraph:
         return build_graph(spec)
     except GraphSpecError as exc:
         raise SystemExit(f"{exc} (see --help)") from exc
-
-
-def parse_graph_spec(spec: str) -> StaticGraph:
-    """Deprecated alias — use :meth:`repro.graphs.spec.GraphSpec.parse` /
-    :func:`repro.graphs.spec.build_graph` instead.
-
-    Kept so existing scripts importing ``repro.cli.parse_graph_spec``
-    continue to work (including its ``SystemExit`` error behavior).
-    """
-    warnings.warn(
-        "repro.cli.parse_graph_spec is deprecated; use "
-        "repro.graphs.spec.GraphSpec.parse(...).build() or build_graph()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _graph_from_spec(spec)
 
 
 def _cmd_list(_args: argparse.Namespace) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from ..algorithms.fair_bipart import default_block_gamma
 from ..algorithms.fair_tree import default_gamma
 from ..obs.profile import current_profiler, phase
 from ..runtime.rng import SeedLike, generator_from
+from .engine import MAX_VERTICES
 from .fair_tree import fair_tree_run
 from .luby import luby_sweep
 
@@ -114,6 +116,39 @@ def _fold_counts(member: np.ndarray, copies: int, n: int) -> np.ndarray:
     return member.reshape(copies, n).sum(axis=0).astype(np.int64)
 
 
+def _batched_counts(
+    graph: StaticGraph,
+    trials: int,
+    seed: SeedLike,
+    batch: int,
+    sweep: Callable[[StaticGraph, np.random.Generator], np.ndarray],
+) -> JoinEstimate:
+    """Join counts over *trials* runs, up to *batch* copies per union.
+
+    ``sweep(union, rng)`` runs the algorithm once on a union of copies of
+    *graph* and returns its membership mask.  A union never
+    grows past the fast engines' :data:`~repro.fast.engine.MAX_VERTICES`,
+    so large graphs take fewer copies per union than *batch*.
+    """
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    rng = generator_from(seed)
+    n = graph.n
+    fits = max(1, MAX_VERTICES // max(n, 1))
+    counts = np.zeros(n, dtype=np.int64)
+    done = 0
+    while done < trials:
+        copies = min(batch, fits, trials - done)
+        with phase("batched.union"):
+            union = disjoint_power(graph, copies)
+        with phase("batched.sweep"):
+            member = sweep(union, rng)
+        with phase("batched.fold"):
+            counts += _fold_counts(member, copies, n)
+        done += copies
+    return JoinEstimate(counts=counts, trials=trials)
+
+
 def batched_luby_trials(
     graph: StaticGraph,
     trials: int,
@@ -126,22 +161,9 @@ def batched_luby_trials(
     with :class:`~repro.fast.luby.FastLuby` (different stream layout, same
     distribution), several times faster on small/medium graphs.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    rng = generator_from(seed)
-    n = graph.n
-    counts = np.zeros(n, dtype=np.int64)
-    done = 0
-    while done < trials:
-        copies = min(batch, trials - done)
-        with phase("batched.union"):
-            union = disjoint_power(graph, copies)
-        with phase("batched.sweep"):
-            member, _ = luby_sweep(union, rng)
-        with phase("batched.fold"):
-            counts += _fold_counts(member, copies, n)
-        done += copies
-    return JoinEstimate(counts=counts, trials=trials)
+    return _batched_counts(
+        graph, trials, seed, batch, lambda union, rng: luby_sweep(union, rng)[0]
+    )
 
 
 def batched_fair_tree_trials(
@@ -157,23 +179,14 @@ def batched_fair_tree_trials(
     ``γ`` is pinned to the *base* graph's size so the batched algorithm is
     parameter-identical to the per-trial one.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    rng = generator_from(seed)
-    n = graph.n
-    g_eff = gamma if gamma is not None else default_gamma(n, gamma_c)
-    counts = np.zeros(n, dtype=np.int64)
-    done = 0
-    while done < trials:
-        copies = min(batch, trials - done)
-        with phase("batched.union"):
-            union = disjoint_power(graph, copies)
-        with phase("batched.sweep"):
-            member, _ = fair_tree_run(union, rng, gamma=g_eff)
-        with phase("batched.fold"):
-            counts += _fold_counts(member, copies, n)
-        done += copies
-    return JoinEstimate(counts=counts, trials=trials)
+    g_eff = gamma if gamma is not None else default_gamma(graph.n, gamma_c)
+    return _batched_counts(
+        graph,
+        trials,
+        seed,
+        batch,
+        lambda union, rng: fair_tree_run(union, rng, gamma=g_eff)[0],
+    )
 
 
 def batched_fair_rooted_trials(
@@ -191,36 +204,26 @@ def batched_fair_rooted_trials(
     Cole–Vishkin stage is pinned to the base graph's size (initial id
     palette and reduction count) so each copy runs exactly one trial.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
     from ..graphs.graph import RootedTree
     from .fair_rooted import fair_rooted_run
 
-    rng = generator_from(seed)
     n = graph.n
     if parent is None:
         parent = RootedTree.from_graph(graph).parent
     parent = np.asarray(parent, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    done = 0
-    while done < trials:
-        copies = min(batch, trials - done)
-        with phase("batched.union"):
-            union = disjoint_power(graph, copies)
-            if copies == 1:
-                union_parent = parent
-            else:
-                offsets = (np.arange(copies, dtype=np.int64) * n)[:, None]
-                tiled = np.broadcast_to(parent, (copies, n))
-                union_parent = np.where(
-                    tiled >= 0, tiled + offsets, np.int64(-1)
-                ).reshape(-1)
-        with phase("batched.sweep"):
-            member, _ = fair_rooted_run(union, union_parent, rng, base_n=n)
-        with phase("batched.fold"):
-            counts += _fold_counts(member, copies, n)
-        done += copies
-    return JoinEstimate(counts=counts, trials=trials)
+
+    def sweep(union, rng):
+        copies = union.n // max(n, 1)
+        union_parent = parent
+        if copies > 1:
+            offsets = (np.arange(copies, dtype=np.int64) * n)[:, None]
+            tiled = np.broadcast_to(parent, (copies, n))
+            union_parent = np.where(
+                tiled >= 0, tiled + offsets, np.int64(-1)
+            ).reshape(-1)
+        return fair_rooted_run(union, union_parent, rng, base_n=n)[0]
+
+    return _batched_counts(graph, trials, seed, batch, sweep)
 
 
 def batched_fair_bipart_trials(
@@ -237,25 +240,16 @@ def batched_fair_bipart_trials(
     ``γ`` (the Linial–Saks radius scale) is pinned to the *base* graph's
     size, exactly as :func:`batched_fair_tree_trials` pins FAIRTREE's γ.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
     from .blocks import fair_bipart_run
 
-    rng = generator_from(seed)
-    n = graph.n
-    g_eff = gamma if gamma is not None else default_block_gamma(n, gamma_c)
-    counts = np.zeros(n, dtype=np.int64)
-    done = 0
-    while done < trials:
-        copies = min(batch, trials - done)
-        with phase("batched.union"):
-            union = disjoint_power(graph, copies)
-        with phase("batched.sweep"):
-            member, _ = fair_bipart_run(union, rng, g_eff, p=p)
-        with phase("batched.fold"):
-            counts += _fold_counts(member, copies, n)
-        done += copies
-    return JoinEstimate(counts=counts, trials=trials)
+    g_eff = gamma if gamma is not None else default_block_gamma(graph.n, gamma_c)
+    return _batched_counts(
+        graph,
+        trials,
+        seed,
+        batch,
+        lambda union, rng: fair_bipart_run(union, rng, g_eff, p=p)[0],
+    )
 
 
 def batched_color_mis_trials(
@@ -278,36 +272,25 @@ def batched_color_mis_trials(
     union (its edge density changes), so pinning is load-bearing, not
     cosmetic.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
     from .blocks import FastColorMIS, color_mis_run
 
-    rng = generator_from(seed)
-    n = graph.n
     params = FastColorMIS(
         k=k, coloring=coloring, gamma_c=gamma_c, gamma=gamma, p=p
     ).resolved_params(graph)
-    counts = np.zeros(n, dtype=np.int64)
-    done = 0
-    while done < trials:
-        copies = min(batch, trials - done)
-        with phase("batched.union"):
-            union = disjoint_power(graph, copies)
-        with phase("batched.sweep"):
-            member, _ = color_mis_run(
-                union,
-                rng,
-                gamma=params["gamma"],
-                k=params["k"],
-                iterations=params["iterations"],
-                coloring=coloring,
-                cap=params["cap"],
-                p=p,
-            )
-        with phase("batched.fold"):
-            counts += _fold_counts(member, copies, n)
-        done += copies
-    return JoinEstimate(counts=counts, trials=trials)
+
+    def sweep(union, rng):
+        return color_mis_run(
+            union,
+            rng,
+            gamma=params["gamma"],
+            k=params["k"],
+            iterations=params["iterations"],
+            coloring=coloring,
+            cap=params["cap"],
+            p=p,
+        )[0]
+
+    return _batched_counts(graph, trials, seed, batch, sweep)
 
 
 # --------------------------------------------------------------------- #

@@ -23,6 +23,7 @@ __all__ = [
     "neighbor_count",
     "edge_both",
     "priority_keys",
+    "MAX_VERTICES",
 ]
 
 
@@ -100,16 +101,19 @@ def edge_both(
 #: Bits reserved for the random part of a tie-broken priority key.
 PRIORITY_BITS = 38
 
+#: Largest vertex count whose IDs fit beside the random part of a key.
+MAX_VERTICES = 1 << 24
+
 
 def priority_keys(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random priorities with ID tie-break packed into one int64 key.
 
     ``key = (random << ceil(log2 n)) | id`` reproduces the faithful
     engine's lexicographic ``(priority, id)`` comparison in a single
-    vectorized ``>``; supports ``n`` up to ``2^24``.
+    vectorized ``>``; supports ``n`` up to :data:`MAX_VERTICES` (``2^24``).
     """
+    if n > MAX_VERTICES:
+        raise ValueError("fast engine supports n <= 2^24")
     id_bits = max(1, int(n - 1).bit_length())
-    if id_bits > 24:
-        raise ValueError("fast engine supports n < 2^24")
     rand = rng.integers(0, 1 << PRIORITY_BITS, size=n, dtype=np.int64)
     return (rand << id_bits) | np.arange(n, dtype=np.int64)

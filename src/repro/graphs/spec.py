@@ -1,9 +1,7 @@
 """Public graph-spec API: parse ``kind:arg:arg`` strings into graphs.
 
-Historically this lived inside :mod:`repro.cli` as ``parse_graph_spec``;
-it is now a stable library API shared by the CLI, the estimation service
-(request JSON carries spec strings), and programmatic callers.  The CLI
-keeps a deprecated re-export.
+A stable library API shared by the CLI, the estimation service (request
+JSON carries spec strings), and programmatic callers.
 
 Spec grammar (one line per kind)::
 

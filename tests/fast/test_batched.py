@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.fast.batched as batched_module
 from repro.analysis import run_trials
 from repro.fast.batched import (
     batched_color_mis_trials,
@@ -25,6 +26,7 @@ from repro.graphs.generators import (
     random_tree,
     star_graph,
 )
+from repro.obs.profile import use_profiler
 
 
 class TestDisjointPower:
@@ -88,6 +90,17 @@ class TestBatchedLuby:
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
             batched_luby_trials(path_graph(3), trials=0)
+
+    def test_union_capped_at_vertex_limit(self, monkeypatch):
+        """A union never exceeds the fast engines' vertex limit: the cap
+        acts exactly like a smaller batch."""
+        monkeypatch.setattr(batched_module, "MAX_VERTICES", 100)
+        g = path_graph(30)
+        with use_profiler() as prof:
+            capped = batched_luby_trials(g, trials=10, seed=0, batch=64)
+        assert prof.report()["phases"]["batched.sweep"]["calls"] == 4
+        small = batched_luby_trials(g, trials=10, seed=0, batch=3)
+        assert np.array_equal(capped.counts, small.counts)
 
 
 class TestBatchedFairTree:

@@ -1,10 +1,79 @@
 """Tests for the vectorized CNTRLFAIRBIPART kernel."""
 
 import numpy as np
+import pytest
 
-from repro.analysis import is_maximal_independent_set
+import repro.fast.fair_tree as fast_fair_tree
+from repro.analysis import is_maximal_independent_set, run_trials
+from repro.fast.batched import batched_fair_tree_trials
 from repro.fast.cfb import cfb_fast
-from repro.graphs.generators import path_graph, random_tree, star_graph
+from repro.fast.engine import neighbor_count
+from repro.fast.fair_tree import FastFairTree
+from repro.graphs.generators import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_bipartite,
+    random_tree,
+    star_graph,
+)
+from repro.obs.profile import use_profiler
+
+
+def cfb_reference(graph, rng, d_hat, active, edge_mask=None):
+    """The full-budget schedule: ``d_hat`` flood rounds, then the
+    origin-checked parity BFS, whether or not the flood has settled."""
+    n = graph.n
+    es, ed = graph.edge_src, graph.edge_dst
+    emask = active[es] & active[ed]
+    if edge_mask is not None:
+        emask = emask & edge_mask
+    ces, ced = es[emask], ed[emask]
+
+    ids = np.arange(n, dtype=np.int64)
+    max_seen = np.where(active, ids, np.int64(-1))
+    for _ in range(d_hat):
+        prev = max_seen
+        max_seen = prev.copy()
+        if ces.size:
+            np.maximum.at(max_seen, ced, prev[ces])
+    leader = max_seen
+    is_leader = active & (leader == ids)
+
+    bits = rng.integers(0, 2, size=n, dtype=np.int64)
+
+    level = np.full(n, -1, dtype=np.int64)
+    level[is_leader] = 0
+    for _ in range(d_hat):
+        if ces.size == 0:
+            break
+        offer = (level[ces] >= 0) & (level[ced] < 0) & (leader[ces] == leader[ced])
+        if not offer.any():
+            break
+        level[ced[offer]] = level[ces[offer]] + 1
+
+    reached = active & (level >= 0)
+    b_leader = bits[np.where(leader >= 0, leader, 0)]
+    joined = reached & ((level + b_leader) % 2 == 0)
+    if ces.size:
+        peer_count = neighbor_count(active, es, ed, n, edge_mask=emask)
+    else:
+        peer_count = np.zeros(n, dtype=np.int64)
+    joined |= is_leader & (peer_count == 0)
+    return joined
+
+
+def _sweep_graphs(kind):
+    if kind == "tree":
+        return [random_tree(n, seed=s).graph for s, n in enumerate((2, 17, 40, 90))]
+    if kind == "path":
+        return [path_graph(n) for n in (1, 2, 9, 33)]
+    if kind == "cycle":
+        return [cycle_graph(n) for n in (3, 8, 13, 30)]
+    if kind == "grid":
+        return [grid_graph(r, c) for r, c in ((1, 5), (3, 4), (5, 7), (6, 6))]
+    shapes = ((5, 6, 0.3), (10, 12, 0.15), (20, 15, 0.08), (8, 30, 0.05))
+    return [random_bipartite(a, b, p, seed=s) for s, (a, b, p) in enumerate(shapes)]
 
 
 class TestCfbFast:
@@ -66,3 +135,68 @@ class TestCfbFast:
             [True, False] * 4 + [True],
             [False, True] * 4 + [False],
         )
+
+
+class TestSettledFloodMatchesFullSchedule:
+    """Stopping the flood once it settles, and reading BFS levels from it,
+    must not change membership or the random numbers drawn."""
+
+    KINDS = ("tree", "path", "cycle", "grid", "bipartite")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sweep_matches_reference(self, kind):
+        sweep_rng = np.random.default_rng(self.KINDS.index(kind))
+        for g in _sweep_graphs(kind):
+            for share in (1.0, 0.8, 0.4):
+                for cut in (False, True):
+                    for d_hat in range(16):
+                        active = sweep_rng.random(g.n) < share
+                        edge_mask = None
+                        if cut:
+                            coins = sweep_rng.integers(0, 2, size=g.m)
+                            edge_mask = np.concatenate([coins, coins]) == 0
+                        seed = int(sweep_rng.integers(1 << 32))
+                        rng_new = np.random.default_rng(seed)
+                        rng_ref = np.random.default_rng(seed)
+                        got = cfb_fast(g, rng_new, d_hat, active, edge_mask)
+                        want = cfb_reference(g, rng_ref, d_hat, active, edge_mask)
+                        case = (kind, g.n, share, cut, d_hat)
+                        assert np.array_equal(got, want), case
+                        state = rng_new.bit_generator.state
+                        assert state == rng_ref.bit_generator.state, case
+
+    @pytest.mark.parametrize("d_hat, rounds, fallback", [(2, 2, 1), (30, 29, 0)])
+    def test_path_pins_both_code_paths(self, d_hat, rounds, fallback):
+        """On a 30-node path the flood cannot settle in 2 rounds (the
+        fallback BFS runs) and settles after 29 (its levels are used)."""
+        g = path_graph(30)
+        active = np.ones(30, dtype=bool)
+        for seed in range(5):
+            with use_profiler() as prof:
+                got = cfb_fast(g, np.random.default_rng(seed), d_hat, active)
+            want = cfb_reference(g, np.random.default_rng(seed), d_hat, active)
+            assert np.array_equal(got, want)
+            counts = prof.report()["counts"]
+            assert counts["cfb.flood_rounds"] == rounds
+            assert counts.get("cfb.bfs_fallback", 0) == fallback
+
+    @pytest.mark.parametrize("gamma", [None, 2, 4])
+    def test_fair_tree_counts_unchanged(self, monkeypatch, gamma):
+        graphs = [random_tree(40, seed=1).graph, path_graph(30), grid_graph(4, 5)]
+
+        def counts():
+            out = []
+            for seed, g in enumerate(graphs):
+                alg = FastFairTree(gamma=gamma)
+                out.append(run_trials(alg, g, 40, seed=seed).counts)
+                batched = batched_fair_tree_trials(
+                    g, 70, seed=seed, batch=32, gamma=gamma
+                )
+                out.append(batched.counts)
+            return out
+
+        got = counts()
+        monkeypatch.setattr(fast_fair_tree, "cfb_fast", cfb_reference)
+        want = counts()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)

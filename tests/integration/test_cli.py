@@ -21,19 +21,6 @@ class TestGraphSpecs:
         with pytest.raises(SystemExit):
             main(["run", "--graph", "donut:5"])
 
-    def test_deprecated_shim_still_works(self):
-        from repro.cli import parse_graph_spec
-
-        with pytest.deprecated_call():
-            g = parse_graph_spec("path:7")
-        assert g.n == 7
-
-    def test_deprecated_shim_keeps_systemexit(self):
-        from repro.cli import parse_graph_spec
-
-        with pytest.deprecated_call(), pytest.raises(SystemExit):
-            parse_graph_spec("donut:5")
-
 
 class TestCommands:
     def test_list(self, capsys):

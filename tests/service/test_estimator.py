@@ -20,7 +20,8 @@ import pytest
 
 from repro.analysis import run_trials
 from repro.core import make
-from repro.graphs import build_graph
+from repro.fast.batched import disjoint_power_cache_clear
+from repro.graphs import build_graph, empty_graph
 from repro.service import (
     EstimateCancelled,
     EstimateTimeout,
@@ -125,6 +126,23 @@ class TestExactness:
                     trials=8,
                     mode="vectorized",
                 )
+
+    def test_auto_mode_above_union_vertex_limit(self):
+        """64 copies of a 300,000-node graph exceed the fast engines'
+        2^24-vertex limit, so the batched runner takes fewer per union."""
+        try:
+            with Estimator(n_jobs=1) as svc:
+                res = svc.estimate(
+                    graph=empty_graph(300_000),
+                    algorithm="luby_fast",
+                    trials=64,
+                    seed=1,
+                )
+            assert res.mode == "vectorized"
+            assert res.estimate.trials == 64
+            assert np.all(res.estimate.counts == 64)
+        finally:
+            disjoint_power_cache_clear()
 
 
 class TestCoalescing:
