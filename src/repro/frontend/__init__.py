@@ -9,7 +9,6 @@ can stall the event loop.
 
 from .admission import (
     AdmissionController,
-    LastWindowEstimator,
     PeakHoldEstimator,
     TokenBucket,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "ERROR_CODES",
     "Frontend",
     "FrontendConfig",
-    "LastWindowEstimator",
     "LoadReport",
     "ParsedLine",
     "PeakHoldEstimator",

@@ -11,8 +11,7 @@ clients pour requests at it.  Three cooperating pieces live here:
     burst, admit everything, get overrun, then slam shut — an admit-rate
     square wave that trashes tail latency.  The peak-hold estimate
     changes on the half-life timescale, so the admit rate stays put
-    between bursts.  (:class:`LastWindowEstimator` implements the naive
-    policy purely as the measuring stick for tests and benchmarks.)
+    between bursts.
 
 :class:`AdmissionController`
     Turns the held peak into a deterministic admit/shed decision.  While
@@ -41,7 +40,6 @@ from typing import Callable
 
 __all__ = [
     "AdmissionController",
-    "LastWindowEstimator",
     "PeakHoldEstimator",
     "TokenBucket",
 ]
@@ -95,44 +93,6 @@ class PeakHoldEstimator:
         return self._current
 
 
-class LastWindowEstimator:
-    """The naive alternative: mean load over a short trailing window.
-
-    Kept as the comparison baseline — its estimate collapses as soon as
-    a burst leaves the window, which is exactly the bouncing behaviour
-    the peak-hold design exists to avoid.  Not used by the front end.
-    """
-
-    def __init__(
-        self,
-        window_s: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        self.window_s = float(window_s)
-        self._clock = clock
-        self._samples: list[tuple[float, float]] = []
-
-    def observe(self, load: float) -> float:
-        now = self._clock()
-        self._samples.append((now, max(0.0, float(load))))
-        cutoff = now - self.window_s
-        self._samples = [(t, v) for t, v in self._samples if t >= cutoff]
-        return self.peak
-
-    @property
-    def peak(self) -> float:
-        """Mean of the in-window samples (0 when the window is empty)."""
-        if not self._samples:
-            return 0.0
-        return sum(v for _, v in self._samples) / len(self._samples)
-
-    @property
-    def current(self) -> float:
-        return self._samples[-1][1] if self._samples else 0.0
-
-
 class AdmissionController:
     """Deterministic admit/shed decisions against a held load estimate.
 
@@ -150,7 +110,7 @@ class AdmissionController:
 
     def __init__(
         self,
-        estimator: PeakHoldEstimator | LastWindowEstimator | None = None,
+        estimator: PeakHoldEstimator | None = None,
         shed_threshold: float = 0.85,
         min_admit: float = 0.05,
         clock: Callable[[], float] = time.monotonic,

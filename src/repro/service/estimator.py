@@ -78,7 +78,9 @@ class RequestHandle:
         return self._ticket.result(timeout)
 
     def cancel(self) -> None:
-        """Stop scheduling further trial chunks for this request."""
+        """Fail this request with
+        :class:`~repro.service.EstimateCancelled` now; its trial chunks
+        stop once no coalesced identical request still waits on them."""
         self._ticket.cancel()
 
 

@@ -71,8 +71,8 @@ class EstimateRequest:
     budget) or ``precision`` (v2 target).  ``seed`` defaults to 0 so
     identical requests are deterministic and cacheable; pass
     ``seed=None`` for fresh entropy (fixed-budget seedless requests
-    bypass the result cache and may share trial chunks with concurrent
-    seedless requests for the same pair).
+    bypass the result cache, and an identical seedless request already
+    in flight serves them instead of a second run).
     """
 
     algorithm: str
@@ -215,8 +215,8 @@ class EstimateResult:
     """Outcome of one serviced request.
 
     ``trials_run`` counts the *new* trials executed on behalf of this
-    request: 0 for a cache/evidence hit, possibly less than the budget
-    when chunks were shared with coalesced concurrent requests or the
+    request: 0 for a cache/evidence hit and for a request coalesced onto
+    an identical one in flight, less than the hard cap when the
     stopping rule fired early.  :attr:`realized_trials` is the total
     evidence behind the returned estimate — new trials plus any cached
     prior (``prior_trials``) the scheduler seeded the CI with.

@@ -1,32 +1,41 @@
-"""Batched request scheduler: coalescing, chunk dispatch, incremental merge.
+"""Batched request scheduler: one round loop for every request.
 
-One daemon dispatcher thread drains a FIFO of submitted requests and
-turns each into a sequence of trial *chunks* executed on a persistent
-:class:`~repro.analysis.montecarlo.TrialPool`.  Chunk results are merged
-incrementally into per-request accumulators, so partial progress is never
-lost and concurrent requests can share work three ways:
+:meth:`BatchScheduler.submit` compiles each request into a plan on its
+:class:`Ticket` — graph hash, algorithm key, seed root, an optional
+:class:`~repro.service.precision.StoppingRule` and a trial target — and
+one daemon dispatcher thread runs every ticket through the same loop:
+:meth:`~BatchScheduler._dispatch_round` submits one round of trial
+*chunks* to a persistent :class:`~repro.analysis.montecarlo.TrialPool`,
+:meth:`~BatchScheduler._on_chunk` merges each chunk's counts as it
+lands, and when the round's last chunk lands the ticket either re-enters
+the dispatcher queue for another round or
+:meth:`~BatchScheduler._settle` completes it.
 
-* **identical-request coalescing** — a seeded fixed-budget request that
-  matches an in-flight request's cache key bit-for-bit subscribes to
-  that request's completion instead of re-running anything;
-* **shared seedless streams** — concurrent ``seed=None`` fixed-budget
-  requests for the same ``(graph, algorithm, mode)`` pair consume one
-  shared chunk stream: every finished chunk is merged into every
-  unfinished subscriber, so N overlapping requests cost roughly one
-  request's trials, not N;
-* **evidence reuse (v2)** — every executed chunk also deposits its
-  counts into the cache's accumulating evidence store, and
-  precision-targeted requests seed their confidence interval from that
-  pooled prior, so warm precision traffic typically executes few or zero
-  new trials.
+* A **fixed-budget** (v1 ``trials``) request has no stopping rule, so
+  its one round is its whole budget.
+* A **precision-targeted** (v2) request runs rounds until its stopping
+  rule fires on prior + accumulated counts, or its hard trial cap is
+  spent.  The first round is one scheduling quantum; later rounds are
+  sized by the trials the normal approximation predicts are still
+  needed.  Rounds re-enter the queue rather than blocking it, so
+  sequential stopping never stalls concurrent traffic.
 
-Precision-targeted requests (``request.precision`` set) are dispatched
-in *rounds*: the scheduler submits one round of chunks, and when the
-round completes it evaluates the request's
-:class:`~repro.service.precision.StoppingRule` on prior + accumulated
-counts — stopping early the moment the requested CI closes, or at the
-hard trial cap.  Rounds re-enter the dispatcher queue rather than
-blocking it, so sequential stopping never stalls concurrent traffic.
+Concurrent requests share work two ways:
+
+* **coalescing** — a fixed-budget request identical to one in flight
+  (same graph, algorithm, seed, trials and mode; seeded or seedless)
+  subscribes to that ticket's completion instead of re-running
+  anything, so N overlapping identical requests cost one request's
+  trials.  Only seeded results enter the result cache.
+* **evidence reuse** — every settled ticket deposits its new counts into
+  the cache's evidence plane, and precision requests seed their
+  confidence interval from that pooled prior, so warm precision traffic
+  typically executes few or zero new trials.
+
+Chunk seeds derive from the request seed alone: an exact-mode
+fixed-budget chunk takes the next per-trial children of the seed, so its
+counts equal :func:`~repro.analysis.montecarlo.run_trials`; every other
+chunk takes the seed's next child.
 
 Pools are kept resident per ``(graph, algorithm)`` pair (LRU-capped), so
 repeated traffic for the same pair never pays spin-up or graph pickling
@@ -35,12 +44,10 @@ again — the amortization the ROADMAP's throughput goal asks for.
 
 from __future__ import annotations
 
-import math
 import queue
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any
 
 import numpy as np
 
@@ -60,10 +67,10 @@ from ..obs.metrics import (
 from ..obs.remote import RemoteTelemetry
 from ..obs.spans import bind_trace, current_span_id, current_trace_id, new_trace_id, span
 from ..runtime.metrics import RequestRecord, ServiceCounters
-from ..runtime.rng import as_seed_sequence, spawn_trial_seeds
-from .cache import ResultCache, cache_key
+from ..runtime.rng import as_seed_sequence
+from .cache import ResultCache
 from .journal import ConvergenceTrace, RequestJournal, TraceFrame
-from .precision import StopDecision, StoppingRule
+from .precision import StoppingRule
 from .requests import EstimateRequest, EstimateResult
 
 __all__ = ["BatchScheduler", "EstimateTimeout", "EstimateCancelled", "Ticket"]
@@ -79,7 +86,7 @@ class EstimateCancelled(RuntimeError):
 
 
 class Ticket:
-    """Tracks one submitted request from submission to completion."""
+    """One submitted request and its plan, from submission to completion."""
 
     def __init__(
         self,
@@ -97,15 +104,16 @@ class Ticket:
         self.graph_hash = graph_hash
         self.algorithm = algorithm
         self.mode = mode
+        # Coalescing key of a fixed budget (None for precision targets).
         self.key = key
         # Trace continuation: tickets join the submitting context's trace
         # (e.g. the Estimator.submit span) or start a fresh one, so every
         # scheduler/pool/chunk event for this request shares one trace_id.
         self.trace_id = current_trace_id() or new_trace_id()
         self.parent_span_id = current_span_id()
-        # Sequential-stopping state: the rule, the cached prior seeding the
-        # CI, and the target = fixed budget (v1) or hard cap minus prior
-        # (v2, prior trials already count toward the cap).
+        # The plan: the stopping rule (None for a fixed budget), the cached
+        # prior seeding the CI, and the target = fixed budget (v1) or hard
+        # cap minus prior (v2, prior trials already count toward the cap).
         self.stopping = stopping
         self.prior = prior
         prior_trials = prior.trials if prior is not None else 0
@@ -124,14 +132,12 @@ class Ticket:
         self.achieved: dict[str, float] | None = None
         self.counts = np.zeros(graph.n, dtype=np.int64)
         self.trials_done = 0
-        self.trials_run = 0
         self.coalesced = False
         self.subscribers: list[Ticket] = []
         self.submitted_at = time.perf_counter()
         self._event = threading.Event()
         self._result: EstimateResult | None = None
         self._error: BaseException | None = None
-        self._cancelled = False
 
     @property
     def prior_trials(self) -> int:
@@ -152,8 +158,9 @@ class Ticket:
         return self._event.is_set()
 
     def cancel(self) -> None:
-        """Stop executing further chunks for this request."""
-        self._cancelled = True
+        """Fail this request with :class:`EstimateCancelled` now; its
+        chunks stop once no coalesced request still waits on them."""
+        self._fail(EstimateCancelled("request cancelled"))
 
     def result(self, timeout: float | None = None) -> EstimateResult:
         """Block until complete; raise :class:`EstimateTimeout` on expiry."""
@@ -176,27 +183,18 @@ class Ticket:
     # ---- scheduler-facing --------------------------------------------- #
     @property
     def dead(self) -> bool:
-        return self._cancelled or self._event.is_set()
+        """True once neither this request nor a coalesced one waits."""
+        return self.done() and all(sub.done() for sub in self.subscribers)
 
     def _complete(self, result: EstimateResult) -> None:
-        self._result = result
-        self._event.set()
+        if not self.done():
+            self._result = result
+            self._event.set()
 
     def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
-
-class _Stream:
-    """Shared chunk stream for seedless requests on one pair."""
-
-    def __init__(self, pair: tuple) -> None:
-        self.pair = pair
-        self.root = as_seed_sequence(None)
-        self.subscribers: list[Ticket] = []
-        self.inflight_trials = 0
-        self.scheduled = False
-        self.closed = False
+        if not self.done():
+            self._error = error
+            self._event.set()
 
 
 class BatchScheduler:
@@ -302,10 +300,10 @@ class BatchScheduler:
         # span records back through this merge point (repro.obs.remote).
         self.telemetry = RemoteTelemetry(self.registry)
         self._lock = threading.RLock()
-        self._queue: queue.Queue[Any] = queue.Queue()
+        self._queue: queue.Queue[Ticket | None] = queue.Queue()
+        # Coalescing targets by key, and every ticket still executing.
         self._inflight: dict[tuple, Ticket] = {}
-        self._streams: dict[tuple, _Stream] = {}
-        self._dynamic: set[Ticket] = set()
+        self._live: set[Ticket] = set()
         self._pools: OrderedDict[tuple, TrialPool] = OrderedDict()
         self._pool_busy: dict[tuple, int] = {}
         self._graph_memo: OrderedDict[str, StaticGraph] = OrderedDict()
@@ -321,13 +319,11 @@ class BatchScheduler:
     # submission
     # ------------------------------------------------------------------ #
     def submit(self, request: EstimateRequest) -> Ticket:
-        """Register *request*; returns a :class:`Ticket` immediately.
+        """Compile *request* into a ticket and queue it; returns at once.
 
-        Cache/evidence hits complete before this returns; identical
-        in-flight requests and same-pair seedless requests are coalesced
-        rather than re-executed.  Precision-targeted requests enter the
-        round-based sequential-stopping path, seeded with any pooled
-        evidence for their ``(graph, algorithm)`` pair.
+        Cache hits, and precision requests whose pooled evidence already
+        meets the target, complete before this returns.  A fixed budget
+        identical to one in flight subscribes to it instead of running.
         """
         if self._closed:
             raise RuntimeError("scheduler is shut down")
@@ -336,16 +332,20 @@ class BatchScheduler:
         algorithm = make(request.algorithm, **dict(request.params))
         mode = self._resolve_mode(request.mode, algorithm)
         graph_hash = graph.content_hash()
+        algorithm_key = request.algorithm_key()
         precision = request.resolved_precision()
-        if precision is not None:
-            return self._submit_precision(
-                request, graph, graph_hash, algorithm, mode, precision
+        if precision is None:
+            # The exact-plane cache key (see cache_key); seed None for
+            # seedless requests, which coalesce but are never cached.
+            key = (graph_hash, algorithm_key, request.seed, request.trials, mode)
+            ticket = Ticket(request, graph, graph_hash, algorithm, mode, key)
+        else:
+            self.counters.increment("precision_requests")
+            ticket = Ticket(
+                request, graph, graph_hash, algorithm, mode, key=None,
+                stopping=precision.rule(),
+                prior=self.cache.evidence(graph_hash, algorithm_key),
             )
-        assert request.trials is not None
-        key = cache_key(
-            graph_hash, request.algorithm_key(), request.seed, request.trials, mode
-        )
-        ticket = Ticket(request, graph, graph_hash, algorithm, mode, key)
         depth = self._queue.qsize()
         self._h_queue.observe(depth)
         self._g_queue.set(depth)
@@ -357,116 +357,34 @@ class BatchScheduler:
             trials=request.trials,
             mode=mode,
             seeded=request.seed is not None,
+            precision=precision.to_json() if precision is not None else None,
+            prior_trials=ticket.prior_trials,
             queue_depth=depth,
         )
-
-        if key is not None:
-            est = self.cache.get(key)
+        if precision is None and request.seed is not None:
+            est = self.cache.get(ticket.key)
             if est is not None:
                 self._finish(ticket, est, cached=True)
                 return ticket
-            with self._lock:
-                primary = self._inflight.get(key)
-                if primary is not None and not primary.done():
-                    ticket.coalesced = True
-                    primary.subscribers.append(ticket)
-                    self.counters.increment("coalesced_requests")
-                    self._log.info(
-                        "request_coalesced",
-                        trace_id=ticket.trace_id,
-                        primary_trace_id=primary.trace_id,
-                        request_id=request.id,
-                    )
-                    return ticket
-                self._inflight[key] = ticket
-            self._queue.put(ticket)
+        elif ticket.prior is not None and self._check(ticket):
+            self._finish(ticket, ticket.prior, cached=True)
             return ticket
-
-        # Seedless: join (or open) the shared stream for this pair.
-        pair = (graph_hash, request.algorithm_key(), mode)
         with self._lock:
-            stream = self._streams.get(pair)
-            if stream is not None and not stream.closed:
+            primary = self._inflight.get(ticket.key)
+            if primary is not None and not primary.dead:
                 ticket.coalesced = True
-                stream.subscribers.append(ticket)
+                primary.subscribers.append(ticket)
                 self.counters.increment("coalesced_requests")
                 self._log.info(
                     "request_coalesced",
                     trace_id=ticket.trace_id,
-                    stream=repr(pair[1]),
+                    primary_trace_id=primary.trace_id,
                     request_id=request.id,
                 )
-                if not stream.scheduled:
-                    stream.scheduled = True
-                    self._queue.put(stream)
                 return ticket
-            stream = _Stream(pair)
-            stream.subscribers.append(ticket)
-            stream.scheduled = True
-            self._streams[pair] = stream
-        self._queue.put(stream)
-        return ticket
-
-    def _submit_precision(
-        self,
-        request: EstimateRequest,
-        graph: StaticGraph,
-        graph_hash: str,
-        algorithm: MISAlgorithm,
-        mode: str,
-        precision,
-    ) -> Ticket:
-        """Register a precision-targeted request (sequential stopping).
-
-        The cached evidence pool for ``(graph, algorithm)`` seeds the
-        CI; if the prior alone already satisfies the stopping rule the
-        request completes here with zero new trials.
-        """
-        self.counters.increment("precision_requests")
-        rule = precision.rule()
-        prior = self.cache.evidence(graph_hash, request.algorithm_key())
-        ticket = Ticket(
-            request, graph, graph_hash, algorithm, mode, key=None,
-            stopping=rule, prior=prior,
-        )
-        depth = self._queue.qsize()
-        self._h_queue.observe(depth)
-        self._g_queue.set(depth)
-        self._log.info(
-            "request_submitted",
-            trace_id=ticket.trace_id,
-            request_id=request.id,
-            algorithm=request.algorithm,
-            mode=mode,
-            seeded=request.seed is not None,
-            precision=precision.to_json(),
-            prior_trials=ticket.prior_trials,
-            queue_depth=depth,
-        )
-        if prior is not None:
-            decision = rule.check(prior.counts, prior.trials)
-            stop = decision.should_stop
-            ticket.frames.append(
-                self._precision_frame(
-                    ticket,
-                    decision,
-                    chunks=0,
-                    new_trials=0,
-                    predicted=0 if stop else self._round_budget(ticket),
-                )
-            )
-            if stop:
-                ticket.stopped_early = decision.satisfied
-                ticket.achieved = decision.achieved()
-                if decision.satisfied:
-                    self.counters.increment("early_stops")
-                    self._c_early.labels(algorithm=request.algorithm).inc()
-                else:
-                    self._c_capped.labels(algorithm=request.algorithm).inc()
-                self._finish(ticket, prior, cached=True)
-                return ticket
-        with self._lock:
-            self._dynamic.add(ticket)
+            if ticket.key is not None:
+                self._inflight[ticket.key] = ticket
+            self._live.add(ticket)
         self._queue.put(ticket)
         return ticket
 
@@ -512,31 +430,18 @@ class BatchScheduler:
         return mode
 
     # ------------------------------------------------------------------ #
-    # dispatcher
+    # dispatcher: the round loop
     # ------------------------------------------------------------------ #
     def _loop(self) -> None:
         while True:
-            item = self._queue.get()
+            ticket = self._queue.get()
             self._g_queue.set(self._queue.qsize())
-            if item is None:
+            if ticket is None:
                 break
             try:
-                if isinstance(item, _Stream):
-                    self._dispatch_stream(item)
-                elif item.stopping is not None:
-                    self._dispatch_precision_round(item)
-                else:
-                    self._dispatch_ticket(item)
-            except BaseException as exc:  # noqa: BLE001 - fail the request
-                if isinstance(item, _Stream):
-                    with self._lock:
-                        subs = list(item.subscribers)
-                        item.closed = True
-                        self._streams.pop(item.pair, None)
-                    for sub in subs:
-                        sub._fail(exc)
-                else:
-                    self._abort(item, exc)
+                self._dispatch_round(ticket)
+            except Exception as exc:  # noqa: BLE001 - fail the request
+                self._abort(ticket, exc)
 
     def _acquire_slot(self) -> bool:
         """Bounded-concurrency gate; gives up when hard-stopped."""
@@ -581,27 +486,36 @@ class BatchScheduler:
             self._g_pools.set(len(self._pools))
         return pool
 
-    def _plan_chunks(self, ticket: Ticket) -> list[tuple[Any, int]]:
-        """Split a seeded request into ``(payload, n_trials)`` chunks.
+    def _round_budget(self, ticket: Ticket) -> int:
+        """Trials to execute in the ticket's next round.
 
-        Exact mode partitions the same spawned per-trial seeds
-        ``run_trials`` would use, contiguously — totals are bit-identical
-        to serial execution however the chunks land on workers.
-        Vectorized mode spawns one child seed per chunk, so results are
-        deterministic for a fixed ``chunk_trials``.
+        A fixed budget runs whatever remains of it.  A precision
+        request's first round is one scheduling quantum (enough chunks
+        to keep every worker busy); later rounds jump to the trial count
+        the normal approximation predicts the bottleneck node still
+        needs, so a cold request typically converges in two or three
+        rounds instead of dozens of tiny ones.  Always clamped to the
+        remaining cap budget.
         """
-        trials, seed = ticket.target, ticket.request.seed
-        size = self.chunk_trials
-        n_chunks = math.ceil(trials / size)
-        if ticket.mode == "exact":
-            seeds = spawn_trial_seeds(seed, trials)
-            parts = [seeds[i * size : (i + 1) * size] for i in range(n_chunks)]
-            return [(part, len(part)) for part in parts]
-        roots = as_seed_sequence(seed).spawn(n_chunks)
-        sizes = [min(size, trials - i * size) for i in range(n_chunks)]
-        return [((root, k), k) for root, k in zip(roots, sizes)]
+        remaining = ticket.target - ticket.trials_done
+        if ticket.stopping is None:
+            return remaining
+        base = self.chunk_trials * max(1, self.workers)
+        counts, trials = ticket.combined()
+        budget = base
+        if trials > 0 and ticket.stopping.node_ci is not None:
+            est = JoinEstimate(counts=counts.copy(), trials=trials)
+            hw = est.halfwidths(ticket.stopping.z)
+            p = est.probabilities[int(np.argmax(hw))]
+            z, ci = ticket.stopping.z, ticket.stopping.node_ci
+            needed = z * z * max(p * (1.0 - p), 1e-4) / (ci * ci) - trials
+            budget = max(base, int(needed * 1.05))
+        return max(0, min(remaining, budget))
 
-    def _dispatch_ticket(self, ticket: Ticket) -> None:
+    def _dispatch_round(self, ticket: Ticket) -> None:
+        """Submit the next round of chunks for *ticket*."""
+        if self._drop_if_dead(ticket):
+            return
         # Re-enter the request's trace on the dispatcher thread and bind
         # the service registry so pool/engine observations land here.
         with bind_trace(ticket.trace_id, ticket.parent_span_id), use_registry(
@@ -609,34 +523,52 @@ class BatchScheduler:
         ), span(
             "scheduler.dispatch",
             algorithm=ticket.request.algorithm,
-            trials=ticket.target,
+            round=ticket.rounds + 1,
             mode=ticket.mode,
         ):
+            budget = self._round_budget(ticket)
+            if budget <= 0:
+                self._settle(ticket)
+                return
             pair = (ticket.graph_hash, ticket.request.algorithm_key())
             pool = self._pool_for(pair, ticket.algorithm, ticket.graph)
             vectorized = ticket.mode == "vectorized"
-            for payload, n_trials in self._plan_chunks(ticket):
-                if ticket.dead:
-                    break
-                if not self._acquire_slot():
-                    self._abort(ticket, EstimateCancelled("scheduler stopped"))
+            # Exact fixed budgets partition run_trials' per-trial seeds.
+            per_trial = not vectorized and ticket.stopping is None
+            size = self.chunk_trials
+            sizes = [min(size, budget - i) for i in range(0, budget, size)]
+            with self._lock:
+                ticket.rounds += 1
+                ticket.inflight_chunks = len(sizes)
+                ticket.round_chunks = len(sizes)
+                ticket.round_start_trials = ticket.trials_done
+            for i, n_trials in enumerate(sizes):
+                if ticket.dead or not self._acquire_slot():
+                    # The chunks never sent land as empty, so the round
+                    # still ends — and is dropped there.
+                    self._land(ticket, len(sizes) - i)
                     return
+                if per_trial:
+                    payload = ticket.seed_root.spawn(n_trials)
+                else:
+                    child = ticket.seed_root.spawn(1)[0]
+                    payload = (
+                        (child, n_trials) if vectorized else child.spawn(n_trials)
+                    )
                 with self._lock:
                     self._pool_busy[pair] = self._pool_busy.get(pair, 0) + 1
                 pool.submit_chunk(
                     payload,
                     vectorized,
                     callback=lambda counts, t=ticket, p=pair, n=n_trials: (
-                        self._on_ticket_chunk(t, p, n, counts)
+                        self._on_chunk(t, p, n, counts)
                     ),
                     error_callback=lambda exc, t=ticket, p=pair: (
                         self._on_chunk_error(t, p, exc)
                     ),
                 )
-        if ticket._cancelled and not ticket.done():
-            self._abort(ticket, EstimateCancelled("request cancelled"))
 
-    def _on_ticket_chunk(
+    def _on_chunk(
         self, ticket: Ticket, pair: tuple, n_trials: int, counts: np.ndarray
     ) -> None:
         self._release_slot(pair)
@@ -649,31 +581,24 @@ class BatchScheduler:
             trials=n_trials,
             algorithm=ticket.request.algorithm,
         )
-        finish = False
         with self._lock:
             ticket.counts += counts
             ticket.trials_done += n_trials
-            ticket.trials_run += n_trials
-            if ticket.trials_done >= ticket.target and not ticket.done():
-                finish = True
-        if finish:
-            est = JoinEstimate(
-                counts=ticket.counts.copy(), trials=ticket.trials_done
-            )
-            self.cache.put(ticket.key, est)
-            # Fixed-budget executions feed the evidence pool too, tagged
-            # by their exact cache key so deterministic repeats (after an
-            # exact-plane eviction) can never double-deposit.
-            self.cache.add_evidence(
-                ticket.graph_hash,
-                ticket.request.algorithm_key(),
-                est,
-                tag=ticket.key,
-            )
-            with self._lock:
-                if self._inflight.get(ticket.key) is ticket:
-                    self._inflight.pop(ticket.key, None)
-            self._finish(ticket, est, cached=False)
+        self._land(ticket)
+
+    def _land(self, ticket: Ticket, chunks: int = 1) -> None:
+        """Count *chunks* of the current round as landed; the last one
+        ends the round with another round or the ticket's settlement."""
+        with self._lock:
+            ticket.inflight_chunks -= chunks
+            if ticket.inflight_chunks > 0:
+                return
+        if self._drop_if_dead(ticket):
+            return
+        if ticket.stopping is not None and not self._check(ticket):
+            self._queue.put(ticket)
+        else:
+            self._settle(ticket)
 
     def _on_chunk_error(
         self, ticket: Ticket, pair: tuple, exc: BaseException
@@ -689,59 +614,50 @@ class BatchScheduler:
         except ValueError:  # pragma: no cover - defensive
             pass
 
-    # ---- precision rounds (sequential stopping) ----------------------- #
-    def _round_budget(self, ticket: Ticket) -> int:
-        """Trials to execute in the next round of a precision request.
-
-        The first round is one scheduling quantum (enough chunks to keep
-        every worker busy); later rounds jump to the trial count the
-        normal approximation predicts the bottleneck node still needs,
-        so a cold request typically converges in two or three rounds
-        instead of dozens of tiny ones.  Always clamped to the remaining
-        cap budget.
-        """
-        assert ticket.stopping is not None
-        remaining = ticket.target - ticket.trials_done
-        base = self.chunk_trials * max(1, self.workers)
-        counts, trials = ticket.combined()
-        budget = base
-        if trials > 0 and ticket.stopping.node_ci is not None:
-            est = JoinEstimate(counts=counts.copy(), trials=trials)
-            hw = est.halfwidths(ticket.stopping.z)
-            p = est.probabilities[int(np.argmax(hw))]
-            z, ci = ticket.stopping.z, ticket.stopping.node_ci
-            needed = z * z * max(p * (1.0 - p), 1e-4) / (ci * ci) - trials
-            budget = max(base, int(needed * 1.05))
-        return max(0, min(remaining, budget))
-
-    def _precision_frame(
-        self,
-        ticket: Ticket,
-        decision: StopDecision,
-        *,
-        chunks: int,
-        new_trials: int,
-        predicted: int,
-    ) -> TraceFrame:
-        """One convergence-trace frame from a stopping-rule evaluation."""
-        assert ticket.stopping is not None
+    # ---- stopping rule and convergence trace -------------------------- #
+    def _check(self, ticket: Ticket) -> bool:
+        """Evaluate the stopping rule on prior + new counts and append a
+        convergence frame; on a stop, record its outcome and return True."""
         rule = ticket.stopping
-        return TraceFrame(
+        assert rule is not None
+        counts, trials = ticket.combined()
+        decision = rule.check(counts, trials)
+        self._log.debug(
+            "round_completed",
+            trace_id=ticket.trace_id,
             round=ticket.rounds,
-            chunks=chunks,
-            new_trials=new_trials,
-            total_new_trials=ticket.trials_done,
-            prior_trials=ticket.prior_trials,
-            trials=decision.trials,
-            node_halfwidth=decision.node_halfwidth,
-            node_target=rule.node_ci,
-            inequality_halfwidth=decision.inequality_halfwidth,
-            inequality_target=rule.inequality_ci,
-            predicted_remaining=predicted,
+            trials=trials,
+            node_halfwidth=round(decision.node_halfwidth, 6),
             satisfied=decision.satisfied,
-            capped=decision.capped,
-            wall_s=time.perf_counter() - ticket.submitted_at,
         )
+        stop = decision.should_stop
+        ticket.frames.append(
+            TraceFrame(
+                round=ticket.rounds,
+                chunks=ticket.round_chunks,
+                new_trials=ticket.trials_done - ticket.round_start_trials,
+                total_new_trials=ticket.trials_done,
+                prior_trials=ticket.prior_trials,
+                trials=decision.trials,
+                node_halfwidth=decision.node_halfwidth,
+                node_target=rule.node_ci,
+                inequality_halfwidth=decision.inequality_halfwidth,
+                inequality_target=rule.inequality_ci,
+                predicted_remaining=0 if stop else self._round_budget(ticket),
+                satisfied=decision.satisfied,
+                capped=decision.capped,
+                wall_s=time.perf_counter() - ticket.submitted_at,
+            )
+        )
+        if stop:
+            ticket.stopped_early = decision.satisfied
+            ticket.achieved = decision.achieved()
+            if decision.satisfied:
+                self.counters.increment("early_stops")
+                self._c_early.labels(algorithm=ticket.request.algorithm).inc()
+            else:
+                self._c_capped.labels(algorithm=ticket.request.algorithm).inc()
+        return stop
 
     def _build_trace(
         self, ticket: Ticket, estimate: JoinEstimate, cached: bool
@@ -762,17 +678,17 @@ class BatchScheduler:
                 mode=ticket.mode,
                 stop_reason="satisfied" if ticket.stopped_early else "capped",
                 prior_trials=ticket.prior_trials,
-                new_trials=ticket.trials_run,
+                new_trials=ticket.trials_done,
                 cached=cached,
                 precision=precision.to_json() if precision is not None else None,
                 frames=tuple(ticket.frames),
             )
         z = z_for_confidence(0.95)
         frame = TraceFrame(
-            round=0 if cached else 1,
-            chunks=0 if cached else math.ceil(ticket.target / self.chunk_trials),
-            new_trials=ticket.trials_run if not cached else 0,
-            total_new_trials=ticket.trials_run if not cached else 0,
+            round=ticket.rounds,
+            chunks=ticket.round_chunks,
+            new_trials=ticket.trials_done,
+            total_new_trials=ticket.trials_done,
             prior_trials=0,
             trials=estimate.trials,
             node_halfwidth=estimate.max_halfwidth(z),
@@ -797,356 +713,84 @@ class BatchScheduler:
             frames=(frame,),
         )
 
-    def _dispatch_precision_round(self, ticket: Ticket) -> None:
-        """Submit one round of chunks for a precision-targeted request."""
-        if ticket.dead:
-            self._abort(ticket, EstimateCancelled("request cancelled"))
-            return
-        with bind_trace(ticket.trace_id, ticket.parent_span_id), use_registry(
-            self.registry
-        ), span(
-            "scheduler.dispatch_round",
-            algorithm=ticket.request.algorithm,
-            round=ticket.rounds,
-            mode=ticket.mode,
-        ):
-            budget = self._round_budget(ticket)
-            if budget <= 0:
-                # Cap already consumed (e.g. prior nearly at cap): settle.
-                self._settle_precision(ticket)
-                return
-            pair = (ticket.graph_hash, ticket.request.algorithm_key())
-            pool = self._pool_for(pair, ticket.algorithm, ticket.graph)
-            vectorized = ticket.mode == "vectorized"
-            sizes = [
-                min(self.chunk_trials, budget - i * self.chunk_trials)
-                for i in range(math.ceil(budget / self.chunk_trials))
-            ]
-            with self._lock:
-                ticket.rounds += 1
-                ticket.inflight_chunks = len(sizes)
-                ticket.round_chunks = len(sizes)
-                ticket.round_start_trials = ticket.trials_done
-            for n_trials in sizes:
-                if not self._acquire_slot():
-                    self._abort(ticket, EstimateCancelled("scheduler stopped"))
-                    return
-                chunk_seed = ticket.seed_root.spawn(1)[0]
-                payload = (
-                    (chunk_seed, n_trials)
-                    if vectorized
-                    else chunk_seed.spawn(n_trials)
-                )
-                with self._lock:
-                    self._pool_busy[pair] = self._pool_busy.get(pair, 0) + 1
-                pool.submit_chunk(
-                    payload,
-                    vectorized,
-                    callback=lambda counts, t=ticket, p=pair, n=n_trials: (
-                        self._on_precision_chunk(t, p, n, counts)
-                    ),
-                    error_callback=lambda exc, t=ticket, p=pair: (
-                        self._on_chunk_error(t, p, exc)
-                    ),
-                )
-
-    def _on_precision_chunk(
-        self, ticket: Ticket, pair: tuple, n_trials: int, counts: np.ndarray
-    ) -> None:
-        self._release_slot(pair)
-        self.counters.increment("chunks_executed")
-        self.counters.increment("trials_executed", n_trials)
-        self._h_chunk.observe(n_trials)
-        with self._lock:
-            ticket.counts += counts
-            ticket.trials_done += n_trials
-            ticket.trials_run += n_trials
-            ticket.inflight_chunks -= 1
-            round_done = ticket.inflight_chunks <= 0
-        if not round_done:
-            return
-        if ticket.dead:
-            if not ticket.done():
-                self._abort(ticket, EstimateCancelled("request cancelled"))
-            return
-        assert ticket.stopping is not None
-        combined_counts, combined_trials = ticket.combined()
-        decision = ticket.stopping.check(combined_counts, combined_trials)
-        self._log.debug(
-            "round_completed",
-            trace_id=ticket.trace_id,
-            round=ticket.rounds,
-            trials=combined_trials,
-            node_halfwidth=round(decision.node_halfwidth, 6),
-            satisfied=decision.satisfied,
-        )
-        stopping = decision.should_stop or ticket.trials_done >= ticket.target
-        ticket.frames.append(
-            self._precision_frame(
-                ticket,
-                decision,
-                chunks=ticket.round_chunks,
-                new_trials=ticket.trials_done - ticket.round_start_trials,
-                predicted=0 if stopping else self._round_budget(ticket),
-            )
-        )
-        if decision.should_stop or ticket.trials_done >= ticket.target:
-            ticket.stopped_early = decision.satisfied
-            ticket.achieved = decision.achieved()
-            if decision.satisfied:
-                self.counters.increment("early_stops")
-                self._c_early.labels(algorithm=ticket.request.algorithm).inc()
-            else:
-                self._c_capped.labels(algorithm=ticket.request.algorithm).inc()
-            self._settle_precision(ticket)
-        else:
-            self._queue.put(ticket)
-
-    def _settle_precision(self, ticket: Ticket) -> None:
-        """Finish a precision ticket: deposit its new evidence, report."""
-        if ticket.trials_done > 0:
-            # Seeded runs carry a dedup tag so an identical re-run (after
-            # evidence eviction) cannot double-count correlated samples.
-            tag = None
-            if ticket.request.seed is not None:
-                tag = (
-                    "precision", ticket.request.seed, ticket.mode,
-                    ticket.trials_done,
-                )
-            self.cache.add_evidence(
-                ticket.graph_hash,
-                ticket.request.algorithm_key(),
-                JoinEstimate(
-                    counts=ticket.counts.copy(), trials=ticket.trials_done
-                ),
-                tag=tag,
-            )
-        combined_counts, combined_trials = ticket.combined()
-        if combined_trials <= 0:  # pragma: no cover - defensive
-            self._abort(
-                ticket, RuntimeError("precision request produced no trials")
-            )
-            return
-        est = JoinEstimate(counts=combined_counts.copy(), trials=combined_trials)
-        self._finish(ticket, est, cached=False)
-
-    # ---- seedless streams --------------------------------------------- #
-    def _stream_need(self, stream: _Stream) -> int:
-        """Trials still to dispatch so every subscriber can reach target."""
-        with self._lock:
-            shortfall = 0
-            for sub in stream.subscribers:
-                if sub.dead:
-                    continue
-                shortfall = max(
-                    shortfall,
-                    sub.target - sub.trials_done - stream.inflight_trials,
-                )
-            return shortfall
-
-    def _dispatch_stream(self, stream: _Stream) -> None:
-        graph_hash, algorithm_key, _mode = stream.pair
-        with self._lock:
-            live = [s for s in stream.subscribers if not s.dead]
-        if not live:
-            self._close_stream(stream)
-            return
-        exemplar = live[0]
-        with bind_trace(
-            exemplar.trace_id, exemplar.parent_span_id
-        ), use_registry(self.registry), span(
-            "scheduler.dispatch_stream",
-            algorithm=exemplar.request.algorithm,
-            subscribers=len(live),
-        ):
-            self._pump_stream(stream, exemplar, graph_hash, algorithm_key)
-
-    def _pump_stream(
-        self,
-        stream: _Stream,
-        exemplar: Ticket,
-        graph_hash: str,
-        algorithm_key: str,
-    ) -> None:
-        pair = (graph_hash, algorithm_key)
-        pool = self._pool_for(pair, exemplar.algorithm, exemplar.graph)
-        vectorized = exemplar.mode == "vectorized"
-        while True:
-            need = self._stream_need(stream)
-            if need <= 0:
-                break
-            n_trials = min(self.chunk_trials, need)
-            chunk_seed = stream.root.spawn(1)[0]
-            if not self._acquire_slot():
-                for sub in list(stream.subscribers):
-                    self._abort(sub, EstimateCancelled("scheduler stopped"))
-                self._close_stream(stream)
-                return
-            with self._lock:
-                stream.inflight_trials += n_trials
-                self._pool_busy[pair] = self._pool_busy.get(pair, 0) + 1
-            payload = (
-                (chunk_seed, n_trials)
-                if vectorized
-                else chunk_seed.spawn(n_trials)
-            )
-            pool.submit_chunk(
-                payload,
-                vectorized,
-                callback=lambda counts, s=stream, p=pair, n=n_trials: (
-                    self._on_stream_chunk(s, p, n, counts)
-                ),
-                error_callback=lambda exc, s=stream, p=pair: (
-                    self._on_stream_error(s, p, exc)
-                ),
-            )
-        with self._lock:
-            stream.scheduled = False
-            # Late subscribers may have joined after the last need check.
-            if self._stream_need(stream) > 0 and not stream.closed:
-                stream.scheduled = True
-                self._queue.put(stream)
-            elif not any(not s.done() for s in stream.subscribers):
-                self._close_stream(stream)
-
-    def _on_stream_chunk(
-        self, stream: _Stream, pair: tuple, n_trials: int, counts: np.ndarray
-    ) -> None:
-        self._release_slot(pair)
-        self.counters.increment("chunks_executed")
-        self.counters.increment("trials_executed", n_trials)
-        self._h_chunk.observe(n_trials)
-        # Every stream chunk is fresh entropy executed exactly once, so it
-        # deposits unconditionally (no dedup tag needed).
-        self.cache.add_evidence(
-            stream.pair[0],
-            stream.pair[1],
-            JoinEstimate(counts=counts.copy(), trials=n_trials),
-        )
-        subs_now = list(stream.subscribers)
-        self._log.debug(
-            "chunk_completed",
-            trace_id=subs_now[0].trace_id if subs_now else None,
-            trials=n_trials,
-            stream=repr(pair[1]),
-        )
-        finished: list[Ticket] = []
-        with self._lock:
-            stream.inflight_trials = max(0, stream.inflight_trials - n_trials)
-            charged = False
-            for sub in stream.subscribers:
-                if sub.dead or sub.trials_done >= sub.target:
-                    continue
-                sub.counts += counts
-                sub.trials_done += n_trials
-                if not charged:
-                    sub.trials_run += n_trials
-                    charged = True
-                if sub.trials_done >= sub.target:
-                    finished.append(sub)
-            for sub in finished:
-                stream.subscribers.remove(sub)
-            drained = not stream.subscribers
-        for sub in finished:
-            est = JoinEstimate(counts=sub.counts.copy(), trials=sub.trials_done)
-            self._finish(sub, est, cached=False)
-        if drained:
-            self._close_stream(stream)
-
-    def _on_stream_error(
-        self, stream: _Stream, pair: tuple, exc: BaseException
-    ) -> None:
-        self._release_slot(pair)
-        with self._lock:
-            subs = list(stream.subscribers)
-            stream.subscribers.clear()
-        for sub in subs:
-            self._abort(sub, exc)
-        self._close_stream(stream)
-
-    def _close_stream(self, stream: _Stream) -> None:
-        with self._lock:
-            stream.closed = True
-            if self._streams.get(stream.pair) is stream:
-                self._streams.pop(stream.pair, None)
-
     # ------------------------------------------------------------------ #
     # completion / records
     # ------------------------------------------------------------------ #
+    def _settle(self, ticket: Ticket) -> None:
+        """Finish an executed ticket: deposit its new trials as evidence,
+        cache a seeded fixed budget, and complete it and its subscribers."""
+        seed = ticket.request.seed
+        counts, trials = ticket.combined()
+        est = JoinEstimate(counts=counts.copy(), trials=trials)
+        if seed is not None and ticket.stopping is None:
+            self.cache.put(ticket.key, est)
+        if ticket.trials_done > 0:
+            # Seeded runs carry a dedup tag, so an identical re-run (after
+            # an eviction) cannot deposit the same samples twice.
+            tag = None
+            if seed is not None and ticket.stopping is None:
+                tag = ticket.key
+            elif seed is not None:
+                tag = ("precision", seed, ticket.mode, ticket.trials_done)
+            self.cache.add_evidence(
+                ticket.graph_hash,
+                ticket.request.algorithm_key(),
+                JoinEstimate(counts=ticket.counts, trials=ticket.trials_done),
+                tag=tag,
+            )
+        with self._lock:
+            if self._inflight.get(ticket.key) is ticket:
+                del self._inflight[ticket.key]
+            self._live.discard(ticket)
+        self._finish(ticket, est, cached=False)
+
     def _finish(
         self, ticket: Ticket, estimate: JoinEstimate, cached: bool
     ) -> None:
-        latency = time.perf_counter() - ticket.submitted_at
-        trials_run = 0 if cached else ticket.trials_run
-        self._h_latency.labels(algorithm=ticket.request.algorithm).observe(
-            latency
-        )
-        self._h_realized.labels(algorithm=ticket.request.algorithm).observe(
-            trials_run
-        )
-        with self._lock:
-            self._dynamic.discard(ticket)
-        self._log.info(
-            "request_completed",
-            trace_id=ticket.trace_id,
-            request_id=ticket.request.id,
-            algorithm=ticket.request.algorithm,
-            cached=cached,
-            coalesced=ticket.coalesced,
-            trials_run=trials_run,
-            realized_trials=estimate.trials,
-            stopped_early=ticket.stopped_early,
-            latency_s=round(latency, 6),
-        )
+        """Deliver *estimate* to the ticket and every coalesced subscriber
+        still waiting; the ticket's own trace goes to the journal."""
         trace = self._build_trace(ticket, estimate, cached)
-        result = EstimateResult(
-            request=ticket.request,
-            estimate=estimate,
-            graph_hash=ticket.graph_hash,
-            mode=ticket.mode,
-            cached=cached,
-            coalesced=ticket.coalesced,
-            trials_run=trials_run,
-            latency_s=latency,
-            stopped_early=ticket.stopped_early,
-            prior_trials=ticket.prior_trials,
-            precision_achieved=ticket.achieved,
-            convergence=trace,
-        )
-        ticket._complete(result)
         self.journal.record(trace)
-        self._record(ticket, result)
         with self._lock:
             subscribers = list(ticket.subscribers)
-        for sub in subscribers:
-            if sub.done():
+        for target in (ticket, *subscribers):
+            if target.done():
                 continue
-            sub_latency = time.perf_counter() - sub.submitted_at
-            self._h_latency.labels(algorithm=sub.request.algorithm).observe(
-                sub_latency
-            )
+            primary = target is ticket
+            latency = time.perf_counter() - target.submitted_at
+            trials_run = ticket.trials_done if primary and not cached else 0
+            algorithm = target.request.algorithm
+            self._h_latency.labels(algorithm=algorithm).observe(latency)
+            if primary:
+                self._h_realized.labels(algorithm=algorithm).observe(trials_run)
             self._log.info(
                 "request_completed",
-                trace_id=sub.trace_id,
-                request_id=sub.request.id,
-                algorithm=sub.request.algorithm,
+                trace_id=target.trace_id,
+                request_id=target.request.id,
+                algorithm=algorithm,
                 cached=cached,
-                coalesced=True,
-                trials_run=0,
-                latency_s=round(sub_latency, 6),
+                coalesced=target.coalesced,
+                trials_run=trials_run,
+                realized_trials=estimate.trials,
+                stopped_early=ticket.stopped_early,
+                latency_s=round(latency, 6),
             )
-            sub_result = EstimateResult(
-                request=sub.request,
+            result = EstimateResult(
+                request=target.request,
                 estimate=estimate,
-                graph_hash=sub.graph_hash,
-                mode=sub.mode,
+                graph_hash=target.graph_hash,
+                mode=target.mode,
                 cached=cached,
-                coalesced=True,
-                trials_run=0,
-                latency_s=sub_latency,
+                coalesced=target.coalesced,
+                trials_run=trials_run,
+                latency_s=latency,
+                stopped_early=ticket.stopped_early,
+                prior_trials=ticket.prior_trials,
+                precision_achieved=ticket.achieved,
+                convergence=trace if primary else None,
             )
-            sub._complete(sub_result)
-            self._record(sub, sub_result)
+            self._record(target, result)
+            target._complete(result)
 
     def _record(self, ticket: Ticket, result: EstimateResult) -> None:
         self.records.append(
@@ -1169,24 +813,34 @@ class BatchScheduler:
             )
         )
 
-    def _abort(self, ticket: Ticket, exc: BaseException) -> None:
-        self._log.error(
-            "request_failed",
-            trace_id=ticket.trace_id,
-            request_id=ticket.request.id,
-            algorithm=ticket.request.algorithm,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+    def _drop_if_dead(self, ticket: Ticket) -> bool:
+        """Abort *ticket* if nobody waits on it or the scheduler is
+        hard-stopped.  Holding the lock keeps a new identical request
+        from subscribing in between."""
         with self._lock:
-            if ticket.key is not None and self._inflight.get(ticket.key) is ticket:
-                self._inflight.pop(ticket.key, None)
-            self._dynamic.discard(ticket)
-            subs = list(ticket.subscribers)
-        if not ticket.done():
-            ticket._fail(exc)
-        for sub in subs:
-            if not sub.done():
-                sub._fail(exc)
+            if not (ticket.dead or self._hard_stop):
+                return False
+            self._abort(ticket, EstimateCancelled("request cancelled"))
+        return True
+
+    def _abort(self, ticket: Ticket, exc: BaseException) -> None:
+        """Fail *ticket* and its subscribers with *exc* (once)."""
+        with self._lock:
+            if self._inflight.get(ticket.key) is ticket:
+                del self._inflight[ticket.key]
+            live = ticket in self._live
+            self._live.discard(ticket)
+            subscribers = list(ticket.subscribers)
+        if live:
+            self._log.error(
+                "request_failed",
+                trace_id=ticket.trace_id,
+                request_id=ticket.request.id,
+                algorithm=ticket.request.algorithm,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+        for target in (ticket, *subscribers):
+            target._fail(exc)
 
     # ------------------------------------------------------------------ #
     # shutdown
@@ -1205,47 +859,38 @@ class BatchScheduler:
             procs.extend(pool.processes)
         return procs
 
+    def _abort_live(self) -> None:
+        with self._lock:
+            live = list(self._live)
+        for ticket in live:
+            self._abort(ticket, EstimateCancelled("service shut down"))
+
     def shutdown(self, wait: bool = True, timeout: float | None = None) -> None:
         """Stop the scheduler and its worker pools.
 
-        With ``wait=True`` (graceful) queued requests finish first; with
-        ``wait=False`` pending work is cancelled and worker processes are
-        terminated immediately.  Idempotent.
+        With ``wait=True`` (graceful) every live request finishes first;
+        with ``wait=False`` every live request — and every request
+        coalesced onto one — fails with :class:`EstimateCancelled` at
+        once, and worker processes are terminated.  Idempotent.
         """
         if self._closed and not self._thread.is_alive():
             return
         self._closed = True
         self._log.info("scheduler_shutdown", graceful=wait)
-        if not wait:
-            self._hard_stop = True
-            with self._lock:
-                pending = list(self._inflight.values())
-                streams = list(self._streams.values())
-                dynamic = list(self._dynamic)
-            for ticket in pending:
-                ticket.cancel()
-            for stream in streams:
-                for sub in stream.subscribers:
-                    sub.cancel()
-            for ticket in dynamic:
-                ticket.cancel()
-        else:
+        if wait:
             # Precision tickets requeue themselves between rounds, so the
-            # dispatcher must keep draining until they settle; only then
-            # may the stop sentinel go in.
+            # dispatcher must keep draining until every live ticket
+            # settles; only then may the stop sentinel go in.
             deadline = (
                 time.monotonic() + timeout if timeout is not None else None
             )
-            while True:
-                with self._lock:
-                    open_dynamic = [
-                        t for t in self._dynamic if not t.done()
-                    ]
-                if not open_dynamic or not self._thread.is_alive():
-                    break
+            while self._live and self._thread.is_alive():
                 if deadline is not None and time.monotonic() >= deadline:
                     break
-                open_dynamic[0]._event.wait(0.05)
+                time.sleep(0.005)
+        else:
+            self._hard_stop = True
+            self._abort_live()
         self._queue.put(None)
         self._thread.join(timeout)
         with self._lock:
@@ -1255,21 +900,5 @@ class BatchScheduler:
         for pool in pools:
             pool.close(wait=wait)
         if not wait:
-            with self._lock:
-                pending = list(self._inflight.values())
-                self._inflight.clear()
-                streams = list(self._streams.values())
-                self._streams.clear()
-                dynamic = list(self._dynamic)
-                self._dynamic.clear()
-            exc = EstimateCancelled("service shut down")
-            for ticket in pending:
-                if not ticket.done():
-                    ticket._fail(exc)
-            for stream in streams:
-                for sub in stream.subscribers:
-                    if not sub.done():
-                        sub._fail(exc)
-            for ticket in dynamic:
-                if not ticket.done():
-                    ticket._fail(exc)
+            # Tickets whose chunks died with the terminated workers.
+            self._abort_live()

@@ -4,10 +4,11 @@ import pytest
 
 from repro.frontend.admission import (
     AdmissionController,
-    LastWindowEstimator,
     PeakHoldEstimator,
     TokenBucket,
 )
+
+from .last_window import LastWindowEstimator
 
 
 class FakeClock:

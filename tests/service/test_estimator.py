@@ -6,19 +6,25 @@ The ISSUE-level guarantees checked here:
   with the same seed (inline and with a real multiprocess pool);
 * concurrent identical requests coalesce — the trials are executed once
   and every subscriber gets the same estimate;
-* concurrent seedless requests for the same (graph, algorithm) pair share
-  trial chunks instead of running independently;
-* ``shutdown`` leaves no worker process behind (no zombies), and
-  submitting afterwards raises.
+* concurrent identical seedless requests coalesce the same way, and
+  cancelling a primary does not fail the requests coalesced onto it;
+* seeded chunks draw their seeds from the request seed alone (the
+  seeding contract below);
+* ``shutdown`` leaves no worker process behind (no zombies), a hard
+  shutdown fails every pending request at once, and submitting
+  afterwards raises.
 """
 
 import multiprocessing as mp
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.analysis import run_trials
+from repro.analysis.montecarlo import chunk_counts, vector_chunk_counts
 from repro.core import make
 from repro.fast.batched import disjoint_power_cache_clear
 from repro.graphs import build_graph, empty_graph
@@ -26,6 +32,7 @@ from repro.service import (
     EstimateCancelled,
     EstimateTimeout,
     Estimator,
+    Precision,
 )
 
 TREE = "tree:40:3"
@@ -70,6 +77,51 @@ class TestExactness:
             b = svc.estimate(mode="vectorized", **kwargs)
         assert a.estimate.trials == 128
         assert np.array_equal(a.estimate.counts, b.estimate.counts)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["luby_fast", "fair_tree_fast"])
+    def test_seeding_contract(self, algorithm, n_jobs):
+        """A vectorized fixed budget and a one-round precision request
+        both give chunk i the request seed's i-th child, so their counts
+        are a function of the seed and ``chunk_trials`` alone."""
+        graph = build_graph(TREE)
+        alg = make(algorithm)
+        chunk = 16
+
+        def one_child_per_chunk(seed, trials, exact):
+            sizes = [min(chunk, trials - i) for i in range(0, trials, chunk)]
+            children = np.random.SeedSequence(seed).spawn(len(sizes))
+            return sum(
+                chunk_counts(alg, graph, child.spawn(k))
+                if exact
+                else vector_chunk_counts(alg, graph, child, k)
+                for child, k in zip(children, sizes)
+            )
+
+        cap = chunk * n_jobs - 5  # within the first round's quantum
+        one_round = Precision(node_ci=0.01, max_trials=cap, min_trials=1)
+        with Estimator(
+            n_jobs=n_jobs, clamp_to_host=False, chunk_trials=chunk,
+            cache_size=0,
+        ) as svc:
+            fixed = svc.estimate(
+                graph=graph, algorithm=algorithm, trials=100, seed=3,
+                mode="vectorized",
+            )
+            assert np.array_equal(
+                fixed.estimate.counts, one_child_per_chunk(3, 100, False)
+            )
+            for mode in ("vectorized", "exact"):
+                res = svc.estimate(
+                    graph=graph, algorithm=algorithm, precision=one_round,
+                    seed=4, mode=mode,
+                )
+                assert res.trials_run == cap
+                assert len(res.convergence.frames) == 1
+                assert np.array_equal(
+                    res.estimate.counts,
+                    one_child_per_chunk(4, cap, mode == "exact"),
+                )
 
     def test_auto_resolves_to_vectorized_for_fast_engines(self):
         with Estimator(n_jobs=1) as svc:
@@ -162,20 +214,73 @@ class TestCoalescing:
         assert snap["coalesced_requests"] == 1
         assert b.coalesced and b.trials_run == 0
 
-    def test_seedless_requests_share_stream(self, slow_algorithm):
+    @pytest.mark.parametrize("n_requests", [2, 4])
+    def test_seedless_requests_share_stream(self, slow_algorithm, n_requests):
         kwargs = dict(
             graph_spec=TREE, algorithm=slow_algorithm, trials=48, seed=None
         )
         with Estimator(n_jobs=1, chunk_trials=8) as svc:
+            handles = [svc.submit(**kwargs) for _ in range(n_requests)]
+            results = [h.result(timeout=30) for h in handles]
+            snap = svc.counters.snapshot()
+        assert all(r.estimate.trials == 48 for r in results)
+        # N overlapping seedless requests cost one request's trials.
+        assert snap["trials_executed"] == 48
+        assert snap["coalesced_requests"] == n_requests - 1
+
+    def test_cancelling_primary_keeps_serving_subscribers(
+        self, slow_algorithm
+    ):
+        kwargs = dict(
+            graph_spec=TREE, algorithm=slow_algorithm, trials=96, seed=9,
+            params={"delay_s": 0.005},
+        )
+        with Estimator(n_jobs=1, chunk_trials=8) as svc:
             first = svc.submit(**kwargs)
             second = svc.submit(**kwargs)
-            a = first.result(timeout=30)
-            b = second.result(timeout=30)
+            time.sleep(0.2)
+            first.cancel()
+            with pytest.raises(EstimateCancelled):
+                first.result(timeout=30)
+            res = second.result(timeout=30)
             snap = svc.counters.snapshot()
-        assert a.estimate.trials == 48 and b.estimate.trials == 48
-        # Both subscribers drained one shared chunk stream.
-        assert snap["trials_executed"] == 48
-        assert snap["coalesced_requests"] == 1
+        assert res.coalesced and res.estimate.trials == 96
+        assert snap["trials_executed"] == 96
+
+    def test_racing_identical_submissions_lose_no_request(self):
+        """Threads race identical seeded and seedless submissions onto
+        more workers than cores: every request completes, and exactly
+        the primaries' trials run."""
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Estimator(n_jobs=3, clamp_to_host=False, chunk_trials=8) as svc:
+
+                def burst(seed):
+                    return [
+                        svc.submit(
+                            graph_spec=TREE, algorithm="luby_fast",
+                            trials=48, seed=seed,
+                        )
+                        for _ in range(5)
+                    ]
+
+                with ThreadPoolExecutor(4) as pool:
+                    futures = [pool.submit(burst, s) for s in (None, 1, None, 1)]
+                    handles = [h for f in futures for h in f.result(timeout=60)]
+                results = [h.result(timeout=60) for h in handles]
+                snap = svc.counters.snapshot()
+                live = set(svc._scheduler._live)
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(r.estimate.trials == 48 for r in results)
+        primaries = [r for r in results if r.trials_run]
+        assert snap["trials_executed"] == 48 * len(primaries)
+        assert snap["coalesced_requests"] == sum(r.coalesced for r in results)
+        assert len(primaries) + snap["coalesced_requests"] + snap[
+            "cache_hits"
+        ] == len(results)
+        assert not live
 
     def test_request_records_capture_latency(self):
         with Estimator(n_jobs=1) as svc:
@@ -230,18 +335,24 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             svc.submit(graph_spec="path:4", algorithm="luby_fast", trials=8)
 
-    def test_hard_shutdown_cancels_pending(self, slow_algorithm):
-        svc = Estimator(n_jobs=1, chunk_trials=4)
-        handle = svc.submit(
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_hard_shutdown_cancels_pending(self, slow_algorithm, n_jobs):
+        svc = Estimator(n_jobs=n_jobs, clamp_to_host=False, chunk_trials=4)
+        kwargs = dict(
             graph_spec="path:8",
             algorithm=slow_algorithm,
-            trials=400,
+            trials=16,
             seed=2,
-            params={"delay_s": 0.005},
+            params={"delay_s": 0.25},
         )
+        # The second request coalesces onto the first.  On a process
+        # pool all four 1 s chunks are out by the time shutdown starts.
+        handles = [svc.submit(**kwargs) for _ in range(2)]
+        time.sleep(0.5)
         svc.shutdown(wait=False)
-        with pytest.raises((EstimateCancelled, EstimateTimeout)):
-            handle.result(timeout=5)
+        for handle in handles:
+            with pytest.raises(EstimateCancelled):
+                handle.result(timeout=5)
 
     def test_workers_clamped_to_host(self):
         svc = Estimator(n_jobs=4096)
