@@ -15,7 +15,12 @@ This module provides the layered primitives the estimation service
 * :class:`TrialPool` — a persistent worker pool bound to one
   ``(algorithm, graph)`` pair.  Workers are initialized once (the
   algorithm and graph are pickled a single time per process, not per
-  task) and reused across as many chunk requests as the owner likes;
+  task) and reused across as many chunk requests as the owner likes.
+  Every chunk takes one path — exact or vectorized, inline or in a
+  worker, through ``submit_chunk`` or ``run``: :func:`_execute` runs it
+  under :func:`~repro.obs.remote.run_chunk_with_telemetry`, which ships
+  the chunk's spans and metric deltas back with its counts whenever
+  observability is on (:func:`~repro.obs.metrics.set_enabled`);
 * :func:`run_trials` — the classic cold-path API: build a pool, run one
   request, tear the pool down.
 
@@ -36,6 +41,7 @@ Every entry point that accepts a job count (``run_trials(n_jobs=...)``,
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -53,17 +59,14 @@ from ..obs.bridge import trial_rounds_histogram
 from ..obs.logging import get_logger
 from ..obs.metrics import get_registry
 from ..obs.remote import (
+    ChunkResult,
     RemoteTelemetry,
-    TraceContext,
     current_trace_context,
     new_chunk_id,
     run_chunk_with_telemetry,
-    telemetry_enabled,
 )
-from ..obs.spans import span
 from ..runtime.rng import SeedLike, spawn_trial_seeds
 from .fairness import JoinEstimate
-from .validation import is_maximal_independent_set
 
 __all__ = [
     "run_trials",
@@ -98,7 +101,6 @@ def chunk_counts(
     algorithm: MISAlgorithm,
     graph: StaticGraph,
     seeds: Sequence[np.random.SeedSequence],
-    validate_runs: bool = False,
 ) -> np.ndarray:
     """Join counts over one chunk of per-trial seeds (exact stream layout).
 
@@ -117,14 +119,11 @@ def chunk_counts(
     for seed in seeds:
         rng = np.random.default_rng(seed)
         result = algorithm.run(graph, rng)
-        member = result.membership
-        if validate_runs and not is_maximal_independent_set(graph, member):
-            raise AssertionError(f"{algorithm.name} produced an invalid MIS")
         if rounds_hist is not None:
             rounds = result.rounds or result.info.get("iterations", 0)
             if rounds:
                 trial_rounds.append(int(rounds))
-        counts += member
+        counts += result.membership
     if rounds_hist is not None:
         rounds_hist.observe_many(trial_rounds)
     return counts
@@ -179,58 +178,48 @@ def resolve_start_method(context: str | None = None) -> str | None:
     return "fork" if "fork" in available else None
 
 
-def _init_worker(algorithm: MISAlgorithm, graph: StaticGraph) -> None:
+def _init_worker(
+    algorithm: MISAlgorithm, graph: StaticGraph | GraphShmHandle
+) -> None:
+    """Pool initializer: attach the shm *graph* handle, or take the
+    pickled graph as is."""
     _WORKER["algorithm"] = algorithm
-    _WORKER["graph"] = graph
-
-
-def _init_worker_shm(algorithm: MISAlgorithm, handle: GraphShmHandle) -> None:
-    """Pool initializer for the shm transport: attach instead of unpickle."""
-    _WORKER["algorithm"] = algorithm
-    _WORKER["graph"] = attach_graph(handle)
-
-
-def _run_chunk(seeds: list[np.random.SeedSequence]) -> np.ndarray:
-    return chunk_counts(_WORKER["algorithm"], _WORKER["graph"], seeds)
-
-
-def _run_vector_chunk(spec: tuple[np.random.SeedSequence, int]) -> np.ndarray:
-    seed, trials = spec
-    return vector_chunk_counts(
-        _WORKER["algorithm"], _WORKER["graph"], seed, trials
+    _WORKER["graph"] = (
+        attach_graph(graph) if isinstance(graph, GraphShmHandle) else graph
     )
 
 
-# Telemetry-carrying variants: the payload travels as a *packet*
-# ``(TraceContext, chunk_id, payload)`` and the result comes back as a
-# ChunkResult with the worker's metric delta + span records piggybacked
-# (see repro.obs.remote).  Separate top-level functions — not a flag —
-# so the non-telemetry wire format stays bit-compatible.
-def _run_chunk_t(packet: tuple) -> Any:
-    ctx, chunk_id, seeds = packet
-    algorithm = _WORKER["algorithm"]
-    return run_chunk_with_telemetry(
-        lambda: chunk_counts(algorithm, _WORKER["graph"], seeds),
-        ctx,
-        chunk_id,
-        algorithm=algorithm.name,
-        trials=len(seeds),
-        vectorized=False,
-    )
+def _execute(
+    algorithm: MISAlgorithm, graph: StaticGraph, packet: tuple
+) -> ChunkResult:
+    """Run one chunk *packet* under the telemetry harness.
 
-
-def _run_vector_chunk_t(packet: tuple) -> Any:
-    ctx, chunk_id, spec = packet
-    seed, trials = spec
-    algorithm = _WORKER["algorithm"]
+    This is the one chunk path: exact or vectorized, inline or in a
+    worker.  The packet is ``(trace context, chunk id, chunk,
+    vectorized)``, where *chunk* is a seed list for an exact chunk and
+    a ``(seed, trials)`` pair for a vectorized one.  The engine entry
+    points are module globals, looked up at call time.
+    """
+    ctx, chunk_id, chunk, vectorized = packet
+    if vectorized:
+        seed, trials = chunk
+        work = partial(vector_chunk_counts, algorithm, graph, seed, trials)
+    else:
+        trials = len(chunk)
+        work = partial(chunk_counts, algorithm, graph, chunk)
     return run_chunk_with_telemetry(
-        lambda: vector_chunk_counts(algorithm, _WORKER["graph"], seed, trials),
+        work,
         ctx,
         chunk_id,
         algorithm=algorithm.name,
         trials=trials,
-        vectorized=True,
+        vectorized=vectorized,
     )
+
+
+def _work(packet: tuple) -> ChunkResult:
+    """The pool's worker entry point: one packet, initializer state."""
+    return _execute(_WORKER["algorithm"], _WORKER["graph"], packet)
 
 
 class TrialPool:
@@ -240,13 +229,14 @@ class TrialPool:
     With one effective worker the pool runs inline — no subprocesses, no
     IPC — which on few-core hosts is strictly faster than oversubscribing.
     With more, a ``multiprocessing`` pool is created once and the graph
-    travels over the zero-copy shm transport by default: its arrays are
-    exported once into shared memory (:mod:`repro.graphs.shm`) and each
-    worker's initializer receives only the O(1)-size handle, attaching
-    read-only views.  When shared memory is unavailable (or disabled via
-    ``shm=False`` / ``REPRO_SHM=0``) the pool falls back to pickling the
-    graph into each worker, which is what amortizes spin-up across
-    service requests either way.
+    travels over the zero-copy shm transport: its arrays are exported
+    once into shared memory (:mod:`repro.graphs.shm`) and each worker's
+    initializer receives only the O(1)-size handle, attaching read-only
+    views.  When shared memory is unavailable (or disabled host-wide via
+    ``REPRO_SHM=0``) the pool falls back to pickling the graph into each
+    worker, which is what amortizes spin-up across service requests
+    either way.  A chunk's telemetry is absorbed by *telemetry* when one
+    is attached, and dropped otherwise.
     """
 
     def __init__(
@@ -255,7 +245,6 @@ class TrialPool:
         graph: StaticGraph,
         workers: int = 1,
         context: str | None = None,
-        shm: bool = True,
         telemetry: RemoteTelemetry | None = None,
     ) -> None:
         self.algorithm = algorithm
@@ -269,10 +258,9 @@ class TrialPool:
             import multiprocessing as mp
 
             ctx = mp.get_context(resolve_start_method(context))
-            initializer: Callable[..., None] = _init_worker
-            initargs: tuple[Any, ...] = (algorithm, graph)
+            shipped: StaticGraph | GraphShmHandle = graph
             self._transport = "pickle"
-            if shm and shm_enabled():
+            if shm_enabled():
                 try:
                     self._shared = export_graph(graph)
                 except ShmUnavailable as exc:
@@ -283,8 +271,7 @@ class TrialPool:
                         error=str(exc),
                     )
                 else:
-                    initializer = _init_worker_shm
-                    initargs = (algorithm, self._shared.handle)
+                    shipped = self._shared.handle
                     self._transport = "shm"
                     # Bytes each worker would have copied under the pickle
                     # transport but now maps instead.
@@ -295,8 +282,8 @@ class TrialPool:
                     ).inc(graph.payload_nbytes * self.workers)
             self._pool = ctx.Pool(
                 processes=self.workers,
-                initializer=initializer,
-                initargs=initargs,
+                initializer=_init_worker,
+                initargs=(algorithm, shipped),
             )
         _log.info(
             "pool_created",
@@ -312,73 +299,21 @@ class TrialPool:
         """How the graph reaches workers: ``inline``, ``pickle``, ``shm``."""
         return self._transport
 
-    def _telemetry_active(self) -> bool:
-        return self.telemetry is not None and telemetry_enabled()
+    def _packet(self, chunk: Any, vectorized: bool) -> tuple:
+        """Wrap *chunk* with the ambient trace position and a chunk ID."""
+        if not vectorized:
+            chunk = list(chunk)
+        return (current_trace_context(), new_chunk_id(), chunk, vectorized)
 
-    def _packet(self, payload: Any) -> tuple[TraceContext, str, Any]:
-        """Wrap *payload* with the ambient trace position + a chunk ID."""
-        return (current_trace_context(), new_chunk_id(), payload)
-
-    # Inline (pool-less) telemetry variants: the module-level ``_t``
-    # functions read the initializer-installed ``_WORKER`` state, which
-    # only exists inside pool worker processes — inline execution binds
-    # the pool's own algorithm/graph instead.
-    def _inline_chunk_t(self, packet: tuple) -> Any:
-        ctx, chunk_id, seeds = packet
-        return run_chunk_with_telemetry(
-            lambda: chunk_counts(self.algorithm, self.graph, seeds),
-            ctx,
-            chunk_id,
-            algorithm=self.algorithm.name,
-            trials=len(seeds),
-            vectorized=False,
-        )
-
-    def _inline_vector_chunk_t(self, packet: tuple) -> Any:
-        ctx, chunk_id, spec = packet
-        seed, trials = spec
-        return run_chunk_with_telemetry(
-            lambda: vector_chunk_counts(
-                self.algorithm, self.graph, seed, trials
-            ),
-            ctx,
-            chunk_id,
-            algorithm=self.algorithm.name,
-            trials=trials,
-            vectorized=True,
-        )
+    def _value(self, result: ChunkResult) -> np.ndarray:
+        """The chunk's counts; its telemetry goes to the merge point."""
+        if self.telemetry is None:
+            return result.value
+        return self.telemetry.absorb(result)
 
     # ------------------------------------------------------------------ #
     # chunk execution
     # ------------------------------------------------------------------ #
-    def run_chunk(self, seeds: Sequence[np.random.SeedSequence]) -> np.ndarray:
-        """Synchronously run one exact chunk (see :func:`chunk_counts`)."""
-        if self._telemetry_active():
-            packet = self._packet(list(seeds))
-            if self._pool is None:
-                result = self._inline_chunk_t(packet)
-            else:
-                result = self._pool.apply(_run_chunk_t, (packet,))
-            return self.telemetry.absorb(result)
-        if self._pool is None:
-            return chunk_counts(self.algorithm, self.graph, seeds)
-        return self._pool.apply(_run_chunk, (list(seeds),))
-
-    def run_vector_chunk(
-        self, seed: np.random.SeedSequence, trials: int
-    ) -> np.ndarray:
-        """Synchronously run one vectorized (disjoint-union) chunk."""
-        if self._telemetry_active():
-            packet = self._packet((seed, trials))
-            if self._pool is None:
-                result = self._inline_vector_chunk_t(packet)
-            else:
-                result = self._pool.apply(_run_vector_chunk_t, (packet,))
-            return self.telemetry.absorb(result)
-        if self._pool is None:
-            return vector_chunk_counts(self.algorithm, self.graph, seed, trials)
-        return self._pool.apply(_run_vector_chunk, ((seed, trials),))
-
     def submit_chunk(
         self,
         chunk: Sequence[np.random.SeedSequence] | tuple[np.random.SeedSequence, int],
@@ -388,72 +323,30 @@ class TrialPool:
     ) -> None:
         """Dispatch one chunk; invoke *callback* with its count vector.
 
-        On a multiprocess pool this is non-blocking (``apply_async``); the
-        inline pool executes in the calling thread before returning, which
-        keeps the scheduler's dispatch loop single-pathed.
-
-        With a :class:`~repro.obs.remote.RemoteTelemetry` attached, the
-        chunk travels as a telemetry packet — ambient ``(trace_id,
-        span_id)`` plus a chunk ID — and the result's piggybacked worker
-        telemetry is absorbed into the owning registry before *callback*
-        sees the bare count vector.
+        An exact *chunk* is a seed list (see :func:`chunk_counts`), a
+        vectorized one a ``(seed, trials)`` pair (see
+        :func:`vector_chunk_counts`).  On a multiprocess pool this is
+        non-blocking (``apply_async``); the inline pool executes in the
+        calling thread before returning, which keeps the scheduler's
+        dispatch loop single-pathed.
         """
-        if self._telemetry_active():
-            telemetry = self.telemetry
-            packet = self._packet(
-                chunk if vectorized else list(chunk)
-            )
-            if self._pool is not None:
-                fn = _run_vector_chunk_t if vectorized else _run_chunk_t
-                self._pool.apply_async(
-                    fn,
-                    (packet,),
-                    callback=lambda res: callback(telemetry.absorb(res)),
-                    error_callback=error_callback,
-                )
-                return
-            inline = (
-                self._inline_vector_chunk_t
-                if vectorized
-                else self._inline_chunk_t
-            )
-            try:
-                counts = telemetry.absorb(inline(packet))
-            except BaseException as exc:  # noqa: BLE001 - forwarded to owner
-                error_callback(exc)
-                return
-            callback(counts)
-            return
+        packet = self._packet(chunk, vectorized)
         if self._pool is not None:
-            fn = _run_vector_chunk if vectorized else _run_chunk
-            arg = chunk if vectorized else list(chunk)
             self._pool.apply_async(
-                fn, (arg,), callback=callback, error_callback=error_callback
+                _work,
+                (packet,),
+                callback=lambda result: callback(self._value(result)),
+                error_callback=error_callback,
             )
             return
-        n_trials = chunk[1] if vectorized else len(chunk)
         try:
-            with span(
-                "pool.chunk",
-                algorithm=self.algorithm.name,
-                trials=n_trials,
-                vectorized=vectorized,
-            ):
-                if vectorized:
-                    seed, trials = chunk  # type: ignore[misc]
-                    counts = vector_chunk_counts(
-                        self.algorithm, self.graph, seed, trials
-                    )
-                else:
-                    counts = chunk_counts(self.algorithm, self.graph, chunk)
+            counts = self._value(_execute(self.algorithm, self.graph, packet))
         except BaseException as exc:  # noqa: BLE001 - forwarded to owner
             error_callback(exc)
             return
         callback(counts)
 
-    def run(
-        self, trials: int, seed: SeedLike = None, validate_runs: bool = False
-    ) -> JoinEstimate:
+    def run(self, trials: int, seed: SeedLike = None) -> JoinEstimate:
         """Run *trials* independent executions through the resident pool.
 
         Bit-identical to serial execution with the same seed: the same
@@ -463,22 +356,14 @@ class TrialPool:
         if trials <= 0:
             raise ValueError("trials must be positive")
         seeds = spawn_trial_seeds(seed, trials)
+        # Workers take strided slices, four per worker (none empty).
+        k = 1 if self._pool is None else self.workers * 4
+        packets = [self._packet(seeds[i::k], False) for i in range(min(k, trials))]
         if self._pool is None:
-            if self._telemetry_active() and not validate_runs:
-                counts = self.run_chunk(seeds)
-            else:
-                counts = chunk_counts(
-                    self.algorithm, self.graph, seeds, validate_runs
-                )
-            return JoinEstimate(counts=counts, trials=trials)
-        chunk_count = self.workers * 4
-        chunks = [c for c in (seeds[i::chunk_count] for i in range(chunk_count)) if c]
-        if self._telemetry_active():
-            packets = [self._packet(c) for c in chunks]
-            results = self._pool.map(_run_chunk_t, packets)
-            partials = [self.telemetry.absorb(r) for r in results]
+            results = [_execute(self.algorithm, self.graph, p) for p in packets]
         else:
-            partials = self._pool.map(_run_chunk, chunks)
+            results = self._pool.map(_work, packets)
+        partials = [self._value(r) for r in results]
         counts = np.sum(partials, axis=0).astype(np.int64)
         return JoinEstimate(counts=counts, trials=trials)
 
@@ -530,7 +415,6 @@ def run_trials(
     trials: int,
     seed: SeedLike = None,
     n_jobs: int = 1,
-    validate_runs: bool = False,
 ) -> JoinEstimate:
     """Run *trials* independent executions and tally per-node joins.
 
@@ -538,14 +422,17 @@ def run_trials(
     and tears it down.  Long-lived callers should hold an Estimator
     (:mod:`repro.service`) or a :class:`TrialPool` instead.
 
+    To check every run's output, build the algorithm with
+    ``validate=True``: it then validates its own result
+    (:meth:`~repro.core.result.MISResult.validate`) on every tier and
+    raises :class:`~repro.core.result.InvalidMISError`, inline or from
+    a worker process alike.
+
     Parameters
     ----------
     n_jobs:
         Worker processes, canonical semantics (:func:`normalize_jobs`):
         ``1`` inline, ``0``/negative all cores, ``k > 1`` that many.
-    validate_runs:
-        Assert independence + maximality of every run (algorithms
-        constructed with ``validate=True`` already do this internally).
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -553,11 +440,10 @@ def run_trials(
     if jobs == 1 or trials < 8:
         seeds = spawn_trial_seeds(seed, trials)
         return JoinEstimate(
-            counts=chunk_counts(algorithm, graph, seeds, validate_runs),
-            trials=trials,
+            counts=chunk_counts(algorithm, graph, seeds), trials=trials
         )
     with TrialPool(algorithm, graph, workers=jobs) as pool:
-        return pool.run(trials, seed=seed, validate_runs=validate_runs)
+        return pool.run(trials, seed=seed)
 
 
 def estimate_join_probabilities(

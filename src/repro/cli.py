@@ -225,7 +225,6 @@ def _service_loop(
     include_counts: bool,
     stats_every: int = 0,
     stats_stream: IO[str] | None = None,
-    shm: bool = True,
     max_line_bytes: int | None = None,
 ) -> int:
     """Run JSON-lines requests through one warm Estimator; returns #errors.
@@ -251,7 +250,7 @@ def _service_loop(
     served = 0
     v1_noted = False
     limit = max_line_bytes if max_line_bytes is not None else DEFAULT_MAX_LINE_BYTES
-    with Estimator(n_jobs=jobs, cache_size=cache_size, shm=shm) as service:
+    with Estimator(n_jobs=jobs, cache_size=cache_size) as service:
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -429,7 +428,6 @@ def _cmd_serve_network(args: argparse.Namespace) -> None:
         cache_size=args.cache_size,
         mode=args.mode,
         include_counts=not args.no_counts,
-        shm=not args.no_shm,
         queue_limit=args.queue_limit,
         rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
@@ -481,7 +479,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
                 include_counts=not args.no_counts,
                 stats_every=args.stats_every,
                 stats_stream=stats_stream,
-                shm=not args.no_shm,
                 max_line_bytes=args.max_line_bytes,
             )
     except KeyboardInterrupt:
@@ -558,7 +555,6 @@ def _cmd_batch(args: argparse.Namespace) -> None:
                 include_counts=not args.no_counts,
                 stats_every=args.stats_every,
                 stats_stream=stats_stream,
-                shm=not args.no_shm,
                 max_line_bytes=args.max_line_bytes,
             )
         else:
@@ -572,7 +568,6 @@ def _cmd_batch(args: argparse.Namespace) -> None:
                     include_counts=not args.no_counts,
                     stats_every=args.stats_every,
                     stats_stream=stats_stream,
-                    shm=not args.no_shm,
                     max_line_bytes=args.max_line_bytes,
                 )
     if errors:
@@ -1341,12 +1336,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("debug", "info", "warning", "error"),
             default=None,
             help="enable structured JSON-lines logging on stderr",
-        )
-        p.add_argument(
-            "--no-shm",
-            action="store_true",
-            help="ship graphs to workers by pickling instead of the "
-            "zero-copy shared-memory transport",
         )
         p.add_argument(
             "--max-line-bytes",

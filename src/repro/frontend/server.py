@@ -62,7 +62,6 @@ class FrontendConfig:
     cache_size: int = 128
     mode: str = "auto"
     include_counts: bool = True
-    shm: bool = True
     queue_limit: int = 64
     rate_limit: float = 0.0  # per-client requests/s; 0 disables
     rate_burst: float | None = None
@@ -100,7 +99,6 @@ class Frontend:
             cache_size=cfg.cache_size,
             mode=cfg.mode,
             include_counts=cfg.include_counts,
-            shm=cfg.shm,
             log_level=cfg.shard_log_level,
         ) + list(cfg.extra_shard_args)
         self.shards = [

@@ -39,7 +39,6 @@ def shard_argv(
     cache_size: int = 128,
     mode: str = "auto",
     include_counts: bool = True,
-    shm: bool = True,
     log_level: str | None = None,
 ) -> list[str]:
     """Command line for one shard: ``python -m repro serve ...``."""
@@ -57,8 +56,6 @@ def shard_argv(
         argv += ["--mode", mode]
     if not include_counts:
         argv.append("--no-counts")
-    if not shm:
-        argv.append("--no-shm")
     if log_level:
         argv += ["--log-level", log_level]
     return argv

@@ -89,7 +89,6 @@ from .remote import (
     current_trace_context,
     merge_worker_snapshot,
     run_chunk_with_telemetry,
-    telemetry_enabled,
     use_trace,
 )
 from .spans import (
@@ -138,7 +137,6 @@ __all__ = [
     "current_trace_context",
     "merge_worker_snapshot",
     "run_chunk_with_telemetry",
-    "telemetry_enabled",
     "use_trace",
     # export / dashboard
     "SpanCollector",

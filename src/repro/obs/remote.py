@@ -26,8 +26,11 @@ parent never saw either.  This module is the bridge:
   are remembered, so absorbing the same chunk twice — e.g. a retried
   dispatch whose first result later arrives anyway — is idempotent.
 
-The plane is on by default whenever observability is enabled; set
-``REPRO_TELEMETRY=0`` to ship bare results (the pre-plane wire format).
+Every :class:`~repro.analysis.montecarlo.TrialPool` chunk, inline or in
+a worker process, runs under this one harness.  The plane follows
+:func:`~repro.obs.metrics.set_enabled`: with observability off the
+harness is a bare call that ships a :class:`ChunkResult` without
+telemetry, and ``absorb`` merges nothing.
 """
 
 from __future__ import annotations
@@ -60,8 +63,6 @@ from .spans import (
 )
 
 __all__ = [
-    "TELEMETRY_ENV",
-    "telemetry_enabled",
     "TraceContext",
     "current_trace_context",
     "use_trace",
@@ -72,26 +73,6 @@ __all__ = [
     "merge_worker_snapshot",
     "RemoteTelemetry",
 ]
-
-#: Environment kill switch for the cross-process plane specifically
-#: (observability at large keeps :func:`repro.obs.metrics.set_enabled`).
-TELEMETRY_ENV = "REPRO_TELEMETRY"
-
-_FALSE_WORDS = frozenset({"0", "false", "off", "no"})
-
-
-def telemetry_enabled() -> bool:
-    """Whether chunks should carry trace context + metric deltas.
-
-    True when observability is globally enabled and ``REPRO_TELEMETRY``
-    is unset or truthy.  Checked on both sides of the process boundary:
-    the parent decides whether to ship telemetry packets, the worker
-    harness short-circuits to a bare call when disabled.
-    """
-    if not enabled():
-        return False
-    return os.environ.get(TELEMETRY_ENV, "1").strip().lower() not in _FALSE_WORDS
-
 
 @dataclass(frozen=True)
 class TraceContext:
@@ -199,10 +180,10 @@ def run_chunk_with_telemetry(
     Re-enters *ctx*, binds a fresh delta registry + profiler + span
     buffer, runs the chunk under a ``pool.chunk`` span, and returns the
     chunk value together with the registry snapshot and captured span
-    records.  When the plane is disabled this is a bare call with no
+    records.  With observability disabled this is a bare call with no
     telemetry attached.
     """
-    if not telemetry_enabled():
+    if not enabled():
         return ChunkResult(fn())
     delta = MetricsRegistry()
     captured: list[dict[str, Any]] = []
@@ -324,19 +305,25 @@ class RemoteTelemetry:
             "telemetry_chunks_duplicate_total",
             "Chunk telemetry payloads skipped as already-merged duplicates",
         )
+        # Claim the parent's span-duration family (as spans.span declares
+        # it) before any merge can: worker span durations then always land
+        # in worker_obs_span_duration_seconds, whichever comes first.
+        registry.histogram(
+            "obs_span_duration_seconds",
+            "Wall-clock duration of instrumented spans",
+            buckets=LATENCY_BUCKETS,
+            labelnames=("span",),
+        )
 
-    def absorb(self, result: ChunkResult | Any) -> Any:
+    def absorb(self, result: ChunkResult) -> Any:
         """Merge a chunk's telemetry (if any) and return its bare value.
 
-        Accepts plain values too (a pool running with the plane disabled
-        returns bare arrays), so callers can route every result through
-        one place.  Telemetry failures are contained: the chunk value is
-        returned even if a malformed payload cannot be merged.
+        Nothing merges while observability is disabled here, whatever
+        the worker shipped.  Telemetry failures are contained: the chunk
+        value is returned even if a malformed payload cannot be merged.
         """
-        if not isinstance(result, ChunkResult):
-            return result
         telemetry = result.telemetry
-        if telemetry is None:
+        if telemetry is None or not enabled():
             return result.value
         with self._lock:
             if telemetry.chunk_id in self._seen:

@@ -105,10 +105,6 @@ class Estimator:
         merging, and cancellation.
     max_pools:
         Resident ``(graph, algorithm)`` worker pools kept warm (LRU).
-    shm:
-        Ship graphs to worker processes over the zero-copy shared-memory
-        transport (default).  ``False`` — or ``REPRO_SHM=0`` in the
-        environment — falls back to pickling the graph per worker.
     """
 
     def __init__(
@@ -120,7 +116,6 @@ class Estimator:
         clamp_to_host: bool = True,
         context: str | None = None,
         registry: MetricsRegistry | None = None,
-        shm: bool = True,
     ) -> None:
         workers = normalize_jobs(n_jobs)
         if clamp_to_host:
@@ -140,7 +135,6 @@ class Estimator:
             max_pools=max_pools,
             context=context,
             registry=self.registry,
-            shm=shm,
             journal=RequestJournal(),
         )
         self._log = get_logger("repro.service.estimator")
@@ -150,7 +144,6 @@ class Estimator:
             cache_size=cache_size,
             chunk_trials=chunk_trials,
             max_pools=max_pools,
-            shm=shm,
         )
 
     # ------------------------------------------------------------------ #

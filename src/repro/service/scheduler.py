@@ -214,7 +214,6 @@ class BatchScheduler:
         max_records: int = 1024,
         context: str | None = None,
         registry: MetricsRegistry | None = None,
-        shm: bool = True,
         journal: RequestJournal | None = None,
     ) -> None:
         if chunk_trials <= 0:
@@ -294,7 +293,6 @@ class BatchScheduler:
         # lands here (bounded ring) for `repro explain` / EstimateResult.
         self.journal = journal if journal is not None else RequestJournal()
         self._context = context
-        self._shm = shm
         # Cross-process plane: every pool this scheduler creates ships
         # trace context with its chunks and pipes worker metric deltas +
         # span records back through this merge point (repro.obs.remote).
@@ -464,7 +462,6 @@ class BatchScheduler:
             graph,
             workers=self.workers,
             context=self._context,
-            shm=self._shm,
             telemetry=self.telemetry,
         )
         self.counters.increment("pools_created")

@@ -4,9 +4,27 @@ import numpy as np
 import pytest
 
 from repro.analysis.montecarlo import estimate_join_probabilities, run_trials
+from repro.core.result import InvalidMISError, MISResult
 from repro.fast.fair_tree import FastFairTree
 from repro.fast.luby import FastLuby
-from repro.graphs.generators import path_graph, random_tree, star_graph
+from repro.graphs.generators import path_graph, random_tree
+
+
+class EmptySetMIS:
+    """Outputs the empty set (never maximal); checks itself like the real
+    algorithms do when built with ``validate=True``.  Module level so a
+    spawn-started worker can unpickle it."""
+
+    name = "empty_set"
+
+    def __init__(self, validate: bool = False) -> None:
+        self.validate = validate
+
+    def run(self, graph, rng):
+        result = MISResult(np.zeros(graph.n, dtype=bool))
+        if self.validate:
+            result.validate(graph)
+        return result
 
 
 class TestSerial:
@@ -31,11 +49,14 @@ class TestSerial:
         with pytest.raises(ValueError):
             run_trials(FastLuby(), path_graph(3), trials=0)
 
-    def test_validate_runs_flag(self):
-        # FastLuby always produces a valid MIS; flag must not raise
-        run_trials(
-            FastLuby(), star_graph(8), trials=10, seed=0, validate_runs=True
-        )
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_self_validating_algorithm_raises(self, n_jobs):
+        # Inline or from a worker process, an invalid run must surface.
+        with pytest.raises(InvalidMISError):
+            run_trials(
+                EmptySetMIS(validate=True), path_graph(5), 16, seed=0,
+                n_jobs=n_jobs,
+            )
 
     def test_probabilities_helper(self):
         probs = estimate_join_probabilities(

@@ -8,7 +8,8 @@ The contract under test (see ``repro.obs.remote``):
   identical across start methods;
 * worker metric snapshots merge into the parent registry under a
   ``worker`` label, merge-correctly for counters and histograms;
-* absorbing the same chunk twice (retried dispatch) is idempotent.
+* absorbing the same chunk twice (retried dispatch) is idempotent;
+* the parent's span-duration family survives worker merges in any order.
 """
 
 import multiprocessing as mp
@@ -18,7 +19,7 @@ import pytest
 
 from repro.fast.fair_tree import FastFairTree
 from repro.graphs.generators import random_tree
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, set_enabled
 from repro.obs.remote import (
     ChunkResult,
     RemoteTelemetry,
@@ -26,7 +27,6 @@ from repro.obs.remote import (
     current_trace_context,
     merge_worker_snapshot,
     run_chunk_with_telemetry,
-    telemetry_enabled,
     use_trace,
 )
 from repro.obs.spans import (
@@ -111,7 +111,7 @@ def _span_tree_structure(records, root_parent_id):
 
 
 def _chunk_span_tree(start_method):
-    """Run one telemetry-carrying chunk on a 2-worker pool; return
+    """Submit one chunk to a 2-worker pool with a merge point; return
     (structure, merged_count, worker_labels)."""
     from repro.analysis.montecarlo import TrialPool
     from repro.obs.metrics import parse_label_key
@@ -121,6 +121,13 @@ def _chunk_span_tree(start_method):
     registry = MetricsRegistry()
     telemetry = RemoteTelemetry(registry)
     collected = []
+    done = threading.Event()
+    errors = []
+
+    def failed(exc):
+        errors.append(exc)
+        done.set()
+
     register_span_sink(collected.append)
     try:
         pool = TrialPool(
@@ -132,8 +139,15 @@ def _chunk_span_tree(start_method):
         )
         try:
             with span("test.root") as root:
-                pool.run_chunk(spawn_trial_seeds(0, 6))
+                pool.submit_chunk(
+                    spawn_trial_seeds(0, 6),
+                    False,
+                    lambda counts: done.set(),
+                    failed,
+                )
                 root_span_id = root.span_id
+            assert done.wait(120), "chunk never completed"
+            assert errors == []
         finally:
             pool.close()
     finally:
@@ -149,9 +163,6 @@ def _chunk_span_tree(start_method):
     return structure, merged, workers
 
 
-@pytest.mark.skipif(
-    not telemetry_enabled(), reason="REPRO_TELEMETRY disabled in environment"
-)
 class TestProcessPropagation:
     @pytest.mark.skipif(
         "fork" not in mp.get_all_start_methods(),
@@ -205,12 +216,14 @@ class TestWorkerHarness:
         names = [r["name"] for r in telemetry.spans]
         assert "pool.chunk" in names
 
-    def test_disabled_plane_ships_bare_result(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert not telemetry_enabled()
-        result = run_chunk_with_telemetry(
-            lambda: 7, TraceContext(), "chunk-b", algorithm="alg", trials=1
-        )
+    def test_disabled_plane_ships_bare_result(self):
+        set_enabled(False)
+        try:
+            result = run_chunk_with_telemetry(
+                lambda: 7, TraceContext(), "chunk-b", algorithm="alg", trials=1
+            )
+        finally:
+            set_enabled(True)
         assert result.value == 7
         assert result.telemetry is None
 
@@ -296,10 +309,10 @@ class TestAbsorbIdempotence:
         assert reg.counter("telemetry_chunks_duplicate_total").value == 2.0
 
     def test_bare_values_pass_through(self):
-        tel = RemoteTelemetry(MetricsRegistry())
-        payload = object()
-        assert tel.absorb(payload) is payload
+        reg = MetricsRegistry()
+        tel = RemoteTelemetry(reg)
         assert tel.absorb(ChunkResult(5)) == 5
+        assert reg.counter("telemetry_chunks_merged_total").value == 0
 
     def test_malformed_telemetry_still_returns_value(self):
         from repro.obs.remote import ChunkTelemetry
@@ -310,3 +323,26 @@ class TestAbsorbIdempotence:
             3, ChunkTelemetry("chunk-x", "pid:9", {"histograms": {"h": {"": "garbage"}}})
         )
         assert tel.absorb(bad) == 3
+
+
+class TestSpanFamilyOrder:
+    """Merged worker span durations never claim the parent's
+    ``obs_span_duration_seconds`` family, even when a merge lands first."""
+
+    def test_merge_before_first_parent_span(self):
+        from repro.analysis.montecarlo import TrialPool
+        from repro.fast.luby import FastLuby
+        from repro.graphs.generators import path_graph
+        from repro.obs.metrics import use_registry
+
+        reg = MetricsRegistry()
+        with TrialPool(
+            FastLuby(), path_graph(20), workers=2, telemetry=RemoteTelemetry(reg)
+        ) as pool:
+            pool.run(16, seed=0)
+        with use_registry(reg), span("x"):
+            pass
+        hists = reg.snapshot()["histograms"]
+        assert list(hists["obs_span_duration_seconds"]) == ['span="x"']
+        merged = hists["worker_obs_span_duration_seconds"]
+        assert any('span="pool.chunk"' in key for key in merged)

@@ -134,10 +134,6 @@ class TestServiceMetrics:
             uninstall_collector,
         )
         from repro.obs.metrics import parse_label_key
-        from repro.obs.remote import telemetry_enabled
-
-        if not telemetry_enabled():
-            pytest.skip("REPRO_TELEMETRY disabled in environment")
 
         graph = _build("tree:63")
         collector = install_collector(capacity=4096)
@@ -209,3 +205,27 @@ class TestServiceMetrics:
                 b.registry.snapshot()["counters"]["service_requests_total"][""]
                 == 0.0
             )
+
+    def test_scheduler_submit_first_keeps_estimate_working(self):
+        # A request submitted straight to the scheduler opens no parent
+        # span, so its chunk merge is the first to touch the span-duration
+        # family; later estimates must still record their own spans.
+        from repro.service import EstimateRequest
+
+        graph = build_graph("tree:15")
+        with Estimator(n_jobs=1, cache_size=0) as service:
+            ticket = service._scheduler.submit(
+                EstimateRequest(
+                    algorithm="luby_fast", graph=graph, trials=8, seed=0,
+                    mode="exact",
+                )
+            )
+            ticket.result(timeout=60)
+            for seed in (1, 2):
+                service.estimate(
+                    graph=graph, algorithm="luby_fast", trials=8, seed=seed,
+                    mode="exact",
+                )
+            hists = service.registry.snapshot()["histograms"]
+        assert 'span="estimator.submit"' in hists["obs_span_duration_seconds"]
+        assert hists["worker_obs_span_duration_seconds"]
