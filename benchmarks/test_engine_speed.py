@@ -67,9 +67,10 @@ def test_speed_faithful_luby_small_tree(benchmark):
 def test_warm_estimator_vs_cold_run_trials():
     """Warm-pool Estimator throughput ≥ 2× cold ``run_trials(n_jobs=4)``.
 
-    Cold path pays pool spin-up, graph pickling, and per-trial Python
-    dispatch on every call; the warm service keeps pools resident and
-    routes fast engines through the vectorized disjoint-union kernel.
+    Cold path pays worker spin-up, graph export, and per-trial Python
+    dispatch on every call; the warm service keeps one worker set
+    resident and routes fast engines through the vectorized
+    disjoint-union kernel.
     Measured over several distinct-seed requests on the paper's
     ``tree:500`` workload with a warm-up request excluded.
     """

@@ -12,14 +12,14 @@ This module provides the layered primitives the estimation service
 * :func:`normalize_jobs` — the **single source of truth** for ``n_jobs``
   semantics, shared by ``run_trials``, the CLI ``--jobs`` flag, the
   experiment harnesses, and the service;
-* :class:`TrialPool` — a persistent worker pool bound to one
-  ``(algorithm, graph)`` pair.  Workers are initialized once (the
-  algorithm and graph are pickled a single time per process, not per
-  task) and reused across as many chunk requests as the owner likes.
-  Every chunk takes one path — exact or vectorized, inline or in a
-  worker, through ``submit_chunk`` or ``run``: :func:`_execute` runs it
-  under :func:`~repro.obs.remote.run_chunk_with_telemetry`, which ships
-  the chunk's spans and metric deltas back with its counts whenever
+* :class:`WorkerSet` — worker processes started once: each chunk
+  packet names its ``(algorithm, graph)``, so one set runs every pair;
+* :class:`TrialPool` — one ``(algorithm, graph)`` pair on a worker set,
+  its own or a borrowed one.  Every chunk takes one path — exact or
+  vectorized, inline or in a worker, through ``submit_chunk`` or
+  ``run``: :func:`_execute` runs it under
+  :func:`~repro.obs.remote.run_chunk_with_telemetry`, which ships the
+  chunk's spans and metric deltas back with its counts whenever
   observability is on (:func:`~repro.obs.metrics.set_enabled`);
 * :func:`run_trials` — the classic cold-path API: build a pool, run one
   request, tear the pool down.
@@ -74,12 +74,10 @@ __all__ = [
     "normalize_jobs",
     "resolve_start_method",
     "TrialPool",
+    "WorkerSet",
     "chunk_counts",
     "vector_chunk_counts",
 ]
-
-# Worker-process state installed by the pool initializer.
-_WORKER: dict[str, Any] = {}
 
 _log = get_logger("repro.pool")
 
@@ -159,8 +157,8 @@ def resolve_start_method(context: str | None = None) -> str | None:
 
     Precedence: an explicit *context* argument, then the ``REPRO_MP_START``
     environment variable (``fork``/``spawn``/``forkserver``), then ``fork``
-    where the platform offers it (cheapest: initargs are inherited, not
-    pickled).  ``None`` falls through to the platform default.
+    where the platform offers it (cheapest: workers start with the
+    parent's imports).  ``None`` falls through to the platform default.
     """
     if context is not None:
         return context
@@ -176,17 +174,6 @@ def resolve_start_method(context: str | None = None) -> str | None:
             )
         return requested
     return "fork" if "fork" in available else None
-
-
-def _init_worker(
-    algorithm: MISAlgorithm, graph: StaticGraph | GraphShmHandle
-) -> None:
-    """Pool initializer: attach the shm *graph* handle, or take the
-    pickled graph as is."""
-    _WORKER["algorithm"] = algorithm
-    _WORKER["graph"] = (
-        attach_graph(graph) if isinstance(graph, GraphShmHandle) else graph
-    )
 
 
 def _execute(
@@ -218,47 +205,115 @@ def _execute(
 
 
 def _work(packet: tuple) -> ChunkResult:
-    """The pool's worker entry point: one packet, initializer state."""
-    return _execute(_WORKER["algorithm"], _WORKER["graph"], packet)
+    """The worker entry point: one self-contained ``(algorithm, graph,
+    chunk packet)``.  A :class:`GraphShmHandle` *graph* is attached
+    through the per-process cache; any other is the graph itself."""
+    algorithm, graph, chunk_packet = packet
+    if isinstance(graph, GraphShmHandle):
+        graph = attach_graph(graph)
+    return _execute(algorithm, graph, chunk_packet)
+
+
+class WorkerSet:
+    """The processes that run chunk packets, started once.
+
+    A set holds no algorithm and no graph, so one set serves every
+    :class:`TrialPool` opened on it.  ``workers`` follows
+    :func:`normalize_jobs`; with one the set starts no processes and
+    packets run inline, which on few-core hosts beats oversubscribing.
+    """
+
+    def __init__(self, workers: int = 1, context: str | None = None) -> None:
+        self.workers = normalize_jobs(workers)
+        self._pool = None
+        if self.workers > 1:
+            import multiprocessing as mp
+            from multiprocessing import resource_tracker
+
+            # A worker forked before this process's resource tracker runs
+            # starts its own on its first attach, and that tracker unlinks
+            # the attached segments when the worker exits.
+            resource_tracker.ensure_running()
+            ctx = mp.get_context(resolve_start_method(context))
+            self._pool = ctx.Pool(processes=self.workers)
+
+    def submit(
+        self,
+        packet: tuple,
+        callback: Callable[[ChunkResult], None],
+        error_callback: Callable[[BaseException], None],
+    ) -> None:
+        """Run one :func:`_work` *packet*; *callback* gets its result
+        later on processes, and before this returns inline."""
+        if self._pool is not None:
+            self._pool.apply_async(
+                _work, (packet,), callback=callback, error_callback=error_callback
+            )
+            return
+        try:
+            result = _work(packet)
+        except Exception as exc:  # noqa: BLE001 - forwarded to owner
+            error_callback(exc)
+            return
+        callback(result)
+
+    def map(self, packets: list[tuple]) -> list[ChunkResult]:
+        """Run *packets* through :func:`_work`; wait for every result."""
+        if self._pool is not None:
+            return self._pool.map(_work, packets)
+        return [_work(packet) for packet in packets]
+
+    @property
+    def processes(self) -> list:
+        """The worker ``Process`` objects (empty inline)."""
+        if self._pool is None:
+            return []
+        return list(self._pool._pool)  # noqa: SLF001 - stdlib Pool internals
+
+    def close(self, wait: bool = True) -> None:
+        """Stop the processes, after their queued packets with ``wait``
+        or at once without, and join them.  Idempotent."""
+        if self._pool is not None:
+            if wait:
+                self._pool.close()
+            else:
+                self._pool.terminate()
+            self._pool.join()
 
 
 class TrialPool:
-    """A persistent worker pool bound to one ``(algorithm, graph)`` pair.
+    """One ``(algorithm, graph)`` pair on a :class:`WorkerSet`.
 
-    ``workers`` follows the canonical :func:`normalize_jobs` semantics.
-    With one effective worker the pool runs inline — no subprocesses, no
-    IPC — which on few-core hosts is strictly faster than oversubscribing.
-    With more, a ``multiprocessing`` pool is created once and the graph
-    travels over the zero-copy shm transport: its arrays are exported
-    once into shared memory (:mod:`repro.graphs.shm`) and each worker's
-    initializer receives only the O(1)-size handle, attaching read-only
-    views.  When shared memory is unavailable (or disabled host-wide via
-    ``REPRO_SHM=0``) the pool falls back to pickling the graph into each
-    worker, which is what amortizes spin-up across service requests
-    either way.  A chunk's telemetry is absorbed by *telemetry* when one
-    is attached, and dropped otherwise.
+    *workers* is a count, and the pool starts and owns a set of that
+    many, or a set the pool borrows; :meth:`close` then releases only
+    the graph.  On worker processes the graph travels over the zero-copy
+    shm transport: it is exported once into shared memory (one export
+    per graph, shared by its holders; :mod:`repro.graphs.shm`) and each
+    chunk packet carries only the O(1)-size handle.  When shared memory
+    is unavailable (or disabled host-wide via ``REPRO_SHM=0``) packets
+    carry the pickled graph: O(n+m) bytes per chunk, against the chunk's
+    Θ(trials × rounds × (n+m)) work.  A chunk's telemetry is absorbed by
+    *telemetry* when one is attached, and dropped otherwise.
     """
 
     def __init__(
         self,
         algorithm: MISAlgorithm,
         graph: StaticGraph,
-        workers: int = 1,
+        workers: int | WorkerSet = 1,
         context: str | None = None,
         telemetry: RemoteTelemetry | None = None,
     ) -> None:
         self.algorithm = algorithm
         self.graph = graph
-        self.workers = normalize_jobs(workers)
         self.telemetry = telemetry
-        self._pool = None
+        self._owned = not isinstance(workers, WorkerSet)
+        self._set = WorkerSet(workers, context) if self._owned else workers
+        self.workers = self._set.workers
         self._shared = None
+        self._shipped: StaticGraph | GraphShmHandle = graph
         self._transport = "inline"
         if self.workers > 1:
-            import multiprocessing as mp
-
-            ctx = mp.get_context(resolve_start_method(context))
-            shipped: StaticGraph | GraphShmHandle = graph
             self._transport = "pickle"
             if shm_enabled():
                 try:
@@ -271,7 +326,7 @@ class TrialPool:
                         error=str(exc),
                     )
                 else:
-                    shipped = self._shared.handle
+                    self._shipped = self._shared.handle
                     self._transport = "shm"
                     # Bytes each worker would have copied under the pickle
                     # transport but now maps instead.
@@ -280,17 +335,12 @@ class TrialPool:
                         "Graph bytes not re-copied per worker thanks to "
                         "the shm transport",
                     ).inc(graph.payload_nbytes * self.workers)
-            self._pool = ctx.Pool(
-                processes=self.workers,
-                initializer=_init_worker,
-                initargs=(algorithm, shipped),
-            )
         _log.info(
             "pool_created",
             algorithm=algorithm.name,
             graph_n=graph.n,
             workers=self.workers,
-            inline=self._pool is None,
+            inline=self.workers == 1,
             transport=self._transport,
         )
 
@@ -300,10 +350,12 @@ class TrialPool:
         return self._transport
 
     def _packet(self, chunk: Any, vectorized: bool) -> tuple:
-        """Wrap *chunk* with the ambient trace position and a chunk ID."""
+        """The :func:`_work` packet of *chunk*: this pool's algorithm and
+        graph, the ambient trace position and a fresh chunk ID."""
         if not vectorized:
             chunk = list(chunk)
-        return (current_trace_context(), new_chunk_id(), chunk, vectorized)
+        packet = (current_trace_context(), new_chunk_id(), chunk, vectorized)
+        return (self.algorithm, self._shipped, packet)
 
     def _value(self, result: ChunkResult) -> np.ndarray:
         """The chunk's counts; its telemetry goes to the merge point."""
@@ -325,29 +377,19 @@ class TrialPool:
 
         An exact *chunk* is a seed list (see :func:`chunk_counts`), a
         vectorized one a ``(seed, trials)`` pair (see
-        :func:`vector_chunk_counts`).  On a multiprocess pool this is
-        non-blocking (``apply_async``); the inline pool executes in the
-        calling thread before returning, which keeps the scheduler's
-        dispatch loop single-pathed.
+        :func:`vector_chunk_counts`).  On worker processes this is
+        non-blocking; inline, the chunk runs in the calling thread
+        before this returns, which keeps the scheduler's dispatch loop
+        single-pathed.
         """
-        packet = self._packet(chunk, vectorized)
-        if self._pool is not None:
-            self._pool.apply_async(
-                _work,
-                (packet,),
-                callback=lambda result: callback(self._value(result)),
-                error_callback=error_callback,
-            )
-            return
-        try:
-            counts = self._value(_execute(self.algorithm, self.graph, packet))
-        except BaseException as exc:  # noqa: BLE001 - forwarded to owner
-            error_callback(exc)
-            return
-        callback(counts)
+        self._set.submit(
+            self._packet(chunk, vectorized),
+            callback=lambda result: callback(self._value(result)),
+            error_callback=error_callback,
+        )
 
     def run(self, trials: int, seed: SeedLike = None) -> JoinEstimate:
-        """Run *trials* independent executions through the resident pool.
+        """Run *trials* independent executions on the worker set.
 
         Bit-identical to serial execution with the same seed: the same
         spawned per-trial seed sequences are used, merely partitioned
@@ -357,13 +399,9 @@ class TrialPool:
             raise ValueError("trials must be positive")
         seeds = spawn_trial_seeds(seed, trials)
         # Workers take strided slices, four per worker (none empty).
-        k = 1 if self._pool is None else self.workers * 4
+        k = self.workers * 4 if self.workers > 1 else 1
         packets = [self._packet(seeds[i::k], False) for i in range(min(k, trials))]
-        if self._pool is None:
-            results = [_execute(self.algorithm, self.graph, p) for p in packets]
-        else:
-            results = self._pool.map(_work, packets)
-        partials = [self._value(r) for r in results]
+        partials = [self._value(r) for r in self._set.map(packets)]
         counts = np.sum(partials, axis=0).astype(np.int64)
         return JoinEstimate(counts=counts, trials=trials)
 
@@ -372,34 +410,20 @@ class TrialPool:
     # ------------------------------------------------------------------ #
     @property
     def processes(self) -> list:
-        """Live worker ``Process`` objects (empty for the inline pool)."""
-        if self._pool is None:
-            return []
-        return list(self._pool._pool)  # noqa: SLF001 - stdlib Pool internals
+        """The set's worker ``Process`` objects (empty inline)."""
+        return self._set.processes
 
     def close(self, wait: bool = True) -> None:
-        """Shut the pool down; with ``wait`` join workers before returning.
-
-        Deterministically reclaims the shared-memory segments: workers are
-        joined first (their mappings close with them), then the exporter
-        unlinks.  Idempotent under both fork and spawn start methods.
-        """
-        if self._pool is not None:
-            if wait:
-                self._pool.close()
-            else:
-                self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            _log.info(
-                "pool_closed", algorithm=self.algorithm.name, graceful=wait
-            )
+        """Close an owned set (:meth:`WorkerSet.close`), then release the
+        graph's shm export.  Idempotent."""
+        if self._owned:
+            self._set.close(wait)
         if self._shared is not None:
             self._shared.close()
             self._shared = None
 
     def terminate(self) -> None:
-        """Stop workers immediately (abandons in-flight chunks)."""
+        """Stop an owned set's workers at once (abandons in-flight chunks)."""
         self.close(wait=False)
 
     def __enter__(self) -> "TrialPool":

@@ -2,7 +2,7 @@
 
 A shard is literally ``python -m repro serve`` as an asyncio
 subprocess — same newline-delimited JSON in, same one-response-line-
-per-request-line out, same per-process Estimator with its own pools,
+per-request-line out, same per-process Estimator with its own workers,
 result cache, and evidence plane.  No new protocol: the front end
 writes request lines to the shard's stdin and reads response lines
 from its stdout.

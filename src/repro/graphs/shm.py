@@ -1,24 +1,25 @@
 """Zero-copy shared-memory graph transport.
 
-Process pools previously shipped a pickled :class:`StaticGraph` to every
-worker.  This module replaces that payload with a tiny
+Chunk packets sent to worker processes name their graph by a tiny
 :class:`GraphShmHandle` — segment names, shapes, dtypes, and the graph's
-content hash — while the actual arrays (the canonical edge list plus the
-cached CSR ``indptr``/``indices``) live once in
-``multiprocessing.shared_memory`` segments.  Workers attach read-only
-numpy views over those segments, so the per-worker transport cost is
-O(1) in the graph size and all workers map the same physical pages.
+content hash — instead of carrying the pickled :class:`StaticGraph`.
+The arrays themselves (the canonical edge list plus the cached CSR
+``indptr``/``indices``) live once in ``multiprocessing.shared_memory``
+segments.  Workers attach read-only numpy views over those segments, so
+the transport cost is O(1) in the graph size and all workers map the
+same physical pages.
 
 Lifecycle contract
 ------------------
-* The **exporter** (:func:`export_graph`) owns the segments.  Calling
-  :meth:`SharedGraph.close` closes *and unlinks* them; it is idempotent
-  and also runs at interpreter exit for any exporter left open.
-* **Attachers** (:func:`attach_graph`) never unlink.  Each process keeps
-  an attach cache keyed by ``content_hash`` so repeated chunks on the
-  same graph re-use one mapping; attachments are unregistered from the
-  ``resource_tracker`` (the creator's registration is the one that backs
-  crash cleanup) and closed at process exit.
+* **One export per graph.**  :func:`export_graph` returns the open
+  :class:`SharedGraph` for a ``content_hash`` if there is one, and
+  counts one more holder.  Each holder releases it with one
+  :meth:`SharedGraph.close`; the last release closes *and unlinks* the
+  segments.  An interpreter-exit hook unlinks any export left open.
+* **Attachers** (:func:`attach_graph`) never unlink.  Each process
+  caches the ``_ATTACH_CACHE_SIZE`` graphs it used last, by
+  ``content_hash``.  An attached graph's arrays own their mappings, so
+  evicting or detaching a graph never unmaps memory still in use.
 * Unlinking while workers are still attached is safe on POSIX: the name
   disappears but existing mappings stay valid until the attacher closes.
 
@@ -31,6 +32,8 @@ from __future__ import annotations
 import atexit
 import os
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -125,11 +128,12 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     (3.13+ has ``track=False`` for exactly this).  Whether that matters
     depends on *which* tracker daemon the attacher talks to:
 
-    * **Pool workers** — fork and spawn alike — inherit the exporter's
-      tracker, so their registration collapses into the creator's (the
-      daemon keeps a set) and the creator's unlink-time unregister
-      retires it exactly once.  Unregistering here would steal the
-      creator's registration and turn its unlink into tracker noise.
+    * **Pool workers** — fork and spawn alike — share the exporter's
+      tracker (a worker set starts it before it starts its processes),
+      so their registration collapses into the creator's (the daemon
+      keeps a set) and the creator's unlink-time unregister retires it
+      exactly once.  Unregistering here would steal the creator's
+      registration and turn its unlink into tracker noise.
     * An **unrelated top-level process** spins up its own tracker, which
       would unlink the segment out from under the exporter when this
       process exits — there the registration must be dropped.
@@ -157,15 +161,14 @@ class SharedGraph:
 
     Materializes the CSR (if not already cached on the graph) so workers
     never recompute it, copies the three arrays into segments, and hands
-    out the :attr:`handle` to ship.  :meth:`close` is the single cleanup
-    point — close + unlink, idempotent, also invoked at interpreter exit
-    as a crash backstop.
+    out the :attr:`handle` to ship.  :func:`export_graph` shares one
+    export among all holders of a graph; the last :meth:`close` unlinks.
     """
 
     def __init__(self, graph: StaticGraph) -> None:
         self.graph = graph
         self._segments: list[shared_memory.SharedMemory] = []
-        self._closed = False
+        self._holders = 1
         indptr, indices = graph._csr  # noqa: SLF001 - same-package cache
         specs: dict[str, ArraySpec] = {}
         try:
@@ -179,12 +182,11 @@ class SharedGraph:
                 _EXPORTED_NAMES.add(seg.name)
                 specs[field_name] = spec
         except ShmUnavailable:
-            self.close()
+            self._unlink()
             raise
         self.handle = GraphShmHandle(
             n=graph.n, content_hash=graph.content_hash(), **specs
         )
-        _EXPORTS.add(self)
         registry = get_registry()
         registry.counter(
             "shm_graphs_exported_total",
@@ -203,14 +205,28 @@ class SharedGraph:
 
     @property
     def closed(self) -> bool:
-        return self._closed
+        """True once the last holder released the export."""
+        return self._holders == 0
 
     def close(self) -> None:
-        """Close and unlink every segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        _EXPORTS.discard(self)
+        """Release one hold; the last release closes and unlinks every
+        segment.  Calls after that are no-ops."""
+        with _LOCK:
+            if self._holders == 0:
+                return
+            self._holders -= 1
+            if self._holders:
+                return
+            if _EXPORTS.get(self.handle.content_hash) is self:
+                del _EXPORTS[self.handle.content_hash]
+            self._unlink()
+        get_registry().counter(
+            "shm_graphs_released_total",
+            "Shared graph exports closed and unlinked",
+        ).inc()
+        _log.debug("shm_graph_released", graph_n=self.graph.n)
+
+    def _unlink(self) -> None:
         for seg in self._segments:
             try:
                 seg.close()
@@ -219,11 +235,6 @@ class SharedGraph:
                 pass
             _EXPORTED_NAMES.discard(seg.name)
         self._segments.clear()
-        get_registry().counter(
-            "shm_graphs_released_total",
-            "Shared graph exports closed and unlinked",
-        ).inc()
-        _log.debug("shm_graph_released", graph_n=self.graph.n)
 
     def __enter__(self) -> "SharedGraph":
         return self
@@ -232,24 +243,47 @@ class SharedGraph:
         self.close()
 
 
-#: Open exports, closed at interpreter exit if their pool never shut down.
-_EXPORTS: set[SharedGraph] = set()
+#: Open exports by content hash (unlinked at interpreter exit if a holder
+#: never released them), and the lock over them and their holder counts.
+_EXPORTS: dict[str, SharedGraph] = {}
+_LOCK = threading.Lock()
 
 #: Segment names this process created (and its forked children inherit).
 _EXPORTED_NAMES: set[str] = set()
 
-#: Per-process attachments: content_hash -> (graph, segments).
-_ATTACHED: dict[str, tuple[StaticGraph, tuple[shared_memory.SharedMemory, ...]]] = {}
+#: Per-process attachments by content hash, least recently used first.
+_ATTACHED: OrderedDict[str, StaticGraph] = OrderedDict()
+_ATTACH_CACHE_SIZE = 8
 
 
 def export_graph(graph: StaticGraph) -> SharedGraph:
-    """Place *graph*'s edge list + CSR into shared memory.
+    """Take one hold on the shared-memory export of *graph*'s edge list
+    + CSR, made on first use; :meth:`SharedGraph.close` releases it.
 
     Raises :class:`ShmUnavailable` when segments cannot be created (the
     caller should fall back to the pickle transport).
     """
-    with phase("shm.export"):
-        return SharedGraph(graph)
+    key = graph.content_hash()
+    with _LOCK:
+        shared = _EXPORTS.get(key)
+        if shared is not None:
+            shared._holders += 1  # noqa: SLF001 - module-private count
+            return shared
+        with phase("shm.export"):
+            shared = _EXPORTS[key] = SharedGraph(graph)
+        return shared
+
+
+class _Mapping:
+    """One attached segment behind the numpy array interface.  Arrays
+    over it keep it as their ``base``, and it keeps the segment open, so
+    the mapping lives as long as the last array (or view) over it."""
+
+    def __init__(self, seg: shared_memory.SharedMemory, spec: ArraySpec) -> None:
+        self._seg = seg
+        view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=seg.buf)
+        read_only = (view.ctypes.data, True)
+        self.__array_interface__ = {**view.__array_interface__, "data": read_only}
 
 
 def attach_graph(handle: GraphShmHandle) -> StaticGraph:
@@ -257,39 +291,28 @@ def attach_graph(handle: GraphShmHandle) -> StaticGraph:
 
     Cached per process by ``content_hash``: repeated attaches of the
     same graph return the identical object without touching the OS.
+    The cache keeps the most recently used ``_ATTACH_CACHE_SIZE``
+    graphs; an evicted one stays valid for as long as it is held.
     """
-    cached = _ATTACHED.get(handle.content_hash)
-    if cached is not None:
+    graph = _ATTACHED.get(handle.content_hash)
+    if graph is not None:
+        _ATTACHED.move_to_end(handle.content_hash)
         get_registry().counter(
             "shm_attach_cache_hits_total",
             "Graph attaches served from the per-process cache",
         ).inc()
-        return cached[0]
+        return graph
     with phase("shm.attach"):
-        segments: list[shared_memory.SharedMemory] = []
-        arrays: dict[str, np.ndarray] = {}
-        try:
-            for field_name in ("edges", "indptr", "indices"):
-                spec: ArraySpec = getattr(handle, field_name)
-                seg = _attach_segment(spec.name)
-                segments.append(seg)
-                view = np.ndarray(
-                    spec.shape, dtype=np.dtype(spec.dtype), buffer=seg.buf
-                )
-                view.setflags(write=False)
-                arrays[field_name] = view
-        except BaseException:
-            for seg in segments:
-                seg.close()
-            raise
-        graph = StaticGraph._from_shared_parts(  # noqa: SLF001 - same package
-            handle.n,
-            arrays["edges"],
-            arrays["indptr"],
-            arrays["indices"],
-            handle.content_hash,
+        edges, indptr, indices = (
+            np.asarray(_Mapping(_attach_segment(spec.name), spec))
+            for spec in (handle.edges, handle.indptr, handle.indices)
         )
-    _ATTACHED[handle.content_hash] = (graph, tuple(segments))
+        graph = StaticGraph._from_shared_parts(  # noqa: SLF001 - same package
+            handle.n, edges, indptr, indices, handle.content_hash
+        )
+    _ATTACHED[handle.content_hash] = graph
+    while len(_ATTACHED) > _ATTACH_CACHE_SIZE:
+        _ATTACHED.popitem(last=False)
     registry = get_registry()
     registry.counter(
         "shm_attach_total", "Shared-memory graph attachments performed"
@@ -305,28 +328,20 @@ def attach_graph(handle: GraphShmHandle) -> StaticGraph:
 
 
 def detach_graph(content_hash: str) -> bool:
-    """Drop one cached attachment (close its mappings); True if present."""
-    entry = _ATTACHED.pop(content_hash, None)
-    if entry is None:
-        return False
-    for seg in entry[1]:
-        try:
-            seg.close()
-        except BufferError:  # pragma: no cover - a view still outstanding
-            pass
-    return True
+    """Drop one graph from the attach cache; True if it was cached.
+    Its mappings close once no array over them is left."""
+    return _ATTACHED.pop(content_hash, None) is not None
 
 
 def detach_all() -> None:
-    """Close every cached attachment (worker shutdown / test isolation)."""
-    for content_hash in list(_ATTACHED):
-        detach_graph(content_hash)
+    """Empty the attach cache (test isolation)."""
+    _ATTACHED.clear()
 
 
 def _cleanup_at_exit() -> None:  # pragma: no cover - interpreter teardown
-    detach_all()
-    for shared in list(_EXPORTS):
-        shared.close()
+    for shared in list(_EXPORTS.values()):
+        while not shared.closed:
+            shared.close()
 
 
 atexit.register(_cleanup_at_exit)

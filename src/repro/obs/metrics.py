@@ -159,7 +159,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (queue depth, resident pools)."""
+    """A value that can go up and down (queue depth, resident trials)."""
 
     kind = "gauge"
     __slots__ = ("_lock", "_value")

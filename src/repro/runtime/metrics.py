@@ -110,8 +110,8 @@ class RequestRecord:
 class ServiceCounters:
     """Thread-safe monotonic counters for the estimation service.
 
-    The scheduler, cache, and worker pools all increment through one
-    instance, so a single snapshot describes a service's lifetime traffic.
+    The scheduler and cache both increment through one instance, so a
+    single snapshot describes a service's lifetime traffic.
 
     Since the observability layer landed this is a compatibility shim
     over :class:`repro.obs.metrics.MetricsRegistry`: each field is backed
@@ -129,8 +129,6 @@ class ServiceCounters:
         "coalesced_requests",
         "chunks_executed",
         "trials_executed",
-        "pools_created",
-        "pools_evicted",
         "precision_requests",
         "early_stops",
         "evidence_hits",

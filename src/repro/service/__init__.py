@@ -1,4 +1,4 @@
-"""In-process fairness-estimation service (persistent pools + cache).
+"""In-process fairness-estimation service (resident workers + cache).
 
 The production-facing serving layer over the Monte-Carlo engines:
 
@@ -14,7 +14,7 @@ The production-facing serving layer over the Monte-Carlo engines:
   fixed-budget requests plus an accumulating evidence store keyed by
   ``(graph hash, algorithm)`` that seeds precision requests' CIs;
 * :class:`BatchScheduler` — request coalescing and chunked dispatch onto
-  persistent :class:`~repro.analysis.montecarlo.TrialPool` workers.
+  one resident :class:`~repro.analysis.montecarlo.WorkerSet`.
 
 See ``docs/SERVICE.md`` for the architecture and request JSON schema,
 ``docs/API.md`` for the v2 request lifecycle and migration guide.

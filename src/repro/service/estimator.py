@@ -1,10 +1,10 @@
 """The programmatic estimation-service handle.
 
 :class:`Estimator` is the public face of :mod:`repro.service`: a
-long-lived object owning the persistent worker pools, the batched
+long-lived object owning one resident worker set, the batched
 scheduler, and the result cache.  Contrast with the cold path::
 
-    # cold: pays pool spin-up + graph pickling on every call
+    # cold: pays worker spin-up + graph export on every call
     est = run_trials(FastLuby(), graph, 2000, seed=0, n_jobs=4)
 
     # warm: spin-up paid once, evidence cached, requests coalesced.
@@ -98,13 +98,12 @@ class Estimator:
         ``clamp_to_host`` is true (default): CPU-bound trials never go
         faster with more processes than cores, so requesting 4 jobs on a
         1-core box yields one inline worker, not 4 thrashing processes.
+        The workers start once and run every pair until :meth:`shutdown`.
     cache_size:
         LRU capacity of the result cache (0 disables caching).
     chunk_trials:
         Trials per scheduling chunk — the unit of coalescing, incremental
         merging, and cancellation.
-    max_pools:
-        Resident ``(graph, algorithm)`` worker pools kept warm (LRU).
     """
 
     def __init__(
@@ -112,7 +111,6 @@ class Estimator:
         n_jobs: int = 0,
         cache_size: int = 128,
         chunk_trials: int = 64,
-        max_pools: int = 2,
         clamp_to_host: bool = True,
         context: str | None = None,
         registry: MetricsRegistry | None = None,
@@ -132,7 +130,6 @@ class Estimator:
             cache=self.cache,
             counters=self.counters,
             chunk_trials=chunk_trials,
-            max_pools=max_pools,
             context=context,
             registry=self.registry,
             journal=RequestJournal(),
@@ -143,7 +140,6 @@ class Estimator:
             workers=workers,
             cache_size=cache_size,
             chunk_trials=chunk_trials,
-            max_pools=max_pools,
         )
 
     # ------------------------------------------------------------------ #

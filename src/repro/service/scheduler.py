@@ -5,7 +5,7 @@
 :class:`~repro.service.precision.StoppingRule` and a trial target — and
 one daemon dispatcher thread runs every ticket through the same loop:
 :meth:`~BatchScheduler._dispatch_round` submits one round of trial
-*chunks* to a persistent :class:`~repro.analysis.montecarlo.TrialPool`,
+*chunks* to the ticket's :class:`~repro.analysis.montecarlo.TrialPool`,
 :meth:`~BatchScheduler._on_chunk` merges each chunk's counts as it
 lands, and when the round's last chunk lands the ticket either re-enters
 the dispatcher queue for another round or
@@ -37,9 +37,9 @@ fixed-budget chunk takes the next per-trial children of the seed, so its
 counts equal :func:`~repro.analysis.montecarlo.run_trials`; every other
 chunk takes the seed's next child.
 
-Pools are kept resident per ``(graph, algorithm)`` pair (LRU-capped), so
-repeated traffic for the same pair never pays spin-up or graph pickling
-again — the amortization the ROADMAP's throughput goal asks for.
+One :class:`~repro.analysis.montecarlo.WorkerSet` per scheduler runs
+the chunks of every pair; a ticket opens a pool for its pair on it at
+its first dispatch and closes it when it leaves the live set.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from collections import OrderedDict, deque
 import numpy as np
 
 from ..analysis.fairness import JoinEstimate, z_for_confidence
-from ..analysis.montecarlo import TrialPool, normalize_jobs
+from ..analysis.montecarlo import TrialPool, WorkerSet, normalize_jobs
 from ..core.registry import make
 from ..core.result import MISAlgorithm
 from ..fast.batched import vector_runner_for
@@ -134,6 +134,7 @@ class Ticket:
         self.trials_done = 0
         self.coalesced = False
         self.subscribers: list[Ticket] = []
+        self.pool: TrialPool | None = None  # open while live
         self.submitted_at = time.perf_counter()
         self._event = threading.Event()
         self._result: EstimateResult | None = None
@@ -198,7 +199,7 @@ class Ticket:
 
 
 class BatchScheduler:
-    """Owns the dispatcher thread, resident pools, cache, and records.
+    """Owns the dispatcher thread, the worker set, cache, and records.
 
     Most callers should use :class:`repro.service.Estimator`, which wraps
     this with a friendlier construction/submission surface.
@@ -210,7 +211,6 @@ class BatchScheduler:
         cache: ResultCache | None = None,
         counters: ServiceCounters | None = None,
         chunk_trials: int = 64,
-        max_pools: int = 2,
         max_records: int = 1024,
         context: str | None = None,
         registry: MetricsRegistry | None = None,
@@ -218,8 +218,6 @@ class BatchScheduler:
     ) -> None:
         if chunk_trials <= 0:
             raise ValueError("chunk_trials must be positive")
-        if max_pools <= 0:
-            raise ValueError("max_pools must be positive")
         self.workers = normalize_jobs(workers)
         self.counters = (
             counters
@@ -258,9 +256,6 @@ class BatchScheduler:
         self._g_queue = self.registry.gauge(
             "service_queue_depth_current", "Current dispatcher queue depth"
         )
-        self._g_pools = self.registry.gauge(
-            "service_pools_resident", "Worker pools currently kept warm"
-        )
         self._c_fallback = self.registry.counter(
             "service_vectorized_fallback_total",
             "Auto-mode requests that fell back to exact per-trial chunks "
@@ -287,13 +282,11 @@ class BatchScheduler:
             labelnames=("algorithm",),
         )
         self.chunk_trials = chunk_trials
-        self.max_pools = max_pools
         self.records: deque[RequestRecord] = deque(maxlen=max_records)
         # Decision-audit plane: every primary request's convergence trace
         # lands here (bounded ring) for `repro explain` / EstimateResult.
         self.journal = journal if journal is not None else RequestJournal()
-        self._context = context
-        # Cross-process plane: every pool this scheduler creates ships
+        # Cross-process plane: every pool this scheduler opens ships
         # trace context with its chunks and pipes worker metric deltas +
         # span records back through this merge point (repro.obs.remote).
         self.telemetry = RemoteTelemetry(self.registry)
@@ -302,12 +295,13 @@ class BatchScheduler:
         # Coalescing targets by key, and every ticket still executing.
         self._inflight: dict[tuple, Ticket] = {}
         self._live: set[Ticket] = set()
-        self._pools: OrderedDict[tuple, TrialPool] = OrderedDict()
-        self._pool_busy: dict[tuple, int] = {}
         self._graph_memo: OrderedDict[str, StaticGraph] = OrderedDict()
         self._sem = threading.BoundedSemaphore(self.workers * 2)
         self._closed = False
         self._hard_stop = False
+        # Forked before the dispatcher thread runs: a worker forked while
+        # another thread holds a lock (an import lock, say) deadlocks.
+        self._workers = WorkerSet(self.workers, context)
         self._thread = threading.Thread(
             target=self._loop, name="repro-service-scheduler", daemon=True
         )
@@ -451,38 +445,6 @@ class BatchScheduler:
             return False
         return True
 
-    def _pool_for(self, ticket_pair: tuple, algorithm, graph) -> TrialPool:
-        with self._lock:
-            pool = self._pools.get(ticket_pair)
-            if pool is not None:
-                self._pools.move_to_end(ticket_pair)
-                return pool
-        pool = TrialPool(
-            algorithm,
-            graph,
-            workers=self.workers,
-            context=self._context,
-            telemetry=self.telemetry,
-        )
-        self.counters.increment("pools_created")
-        with self._lock:
-            self._pools[ticket_pair] = pool
-            self._pool_busy.setdefault(ticket_pair, 0)
-            victims = []
-            if len(self._pools) > self.max_pools:
-                for key in list(self._pools):
-                    if len(self._pools) <= self.max_pools:
-                        break
-                    if key != ticket_pair and self._pool_busy.get(key, 0) == 0:
-                        victims.append((key, self._pools.pop(key)))
-                        self._pool_busy.pop(key, None)
-        for _key, victim in victims:
-            victim.close(wait=True)
-            self.counters.increment("pools_evicted")
-        with self._lock:
-            self._g_pools.set(len(self._pools))
-        return pool
-
     def _round_budget(self, ticket: Ticket) -> int:
         """Trials to execute in the ticket's next round.
 
@@ -527,8 +489,15 @@ class BatchScheduler:
             if budget <= 0:
                 self._settle(ticket)
                 return
-            pair = (ticket.graph_hash, ticket.request.algorithm_key())
-            pool = self._pool_for(pair, ticket.algorithm, ticket.graph)
+            with self._lock:
+                if ticket.pool is None:
+                    ticket.pool = TrialPool(
+                        ticket.algorithm,
+                        ticket.graph,
+                        workers=self._workers,
+                        telemetry=self.telemetry,
+                    )
+                pool = ticket.pool
             vectorized = ticket.mode == "vectorized"
             # Exact fixed budgets partition run_trials' per-trial seeds.
             per_trial = not vectorized and ticket.stopping is None
@@ -552,23 +521,21 @@ class BatchScheduler:
                     payload = (
                         (child, n_trials) if vectorized else child.spawn(n_trials)
                     )
-                with self._lock:
-                    self._pool_busy[pair] = self._pool_busy.get(pair, 0) + 1
                 pool.submit_chunk(
                     payload,
                     vectorized,
-                    callback=lambda counts, t=ticket, p=pair, n=n_trials: (
-                        self._on_chunk(t, p, n, counts)
+                    callback=lambda counts, t=ticket, n=n_trials: (
+                        self._on_chunk(t, n, counts)
                     ),
-                    error_callback=lambda exc, t=ticket, p=pair: (
-                        self._on_chunk_error(t, p, exc)
+                    error_callback=lambda exc, t=ticket: (
+                        self._on_chunk_error(t, exc)
                     ),
                 )
 
     def _on_chunk(
-        self, ticket: Ticket, pair: tuple, n_trials: int, counts: np.ndarray
+        self, ticket: Ticket, n_trials: int, counts: np.ndarray
     ) -> None:
-        self._release_slot(pair)
+        self._release_slot()
         self.counters.increment("chunks_executed")
         self.counters.increment("trials_executed", n_trials)
         self._h_chunk.observe(n_trials)
@@ -597,15 +564,11 @@ class BatchScheduler:
         else:
             self._settle(ticket)
 
-    def _on_chunk_error(
-        self, ticket: Ticket, pair: tuple, exc: BaseException
-    ) -> None:
-        self._release_slot(pair)
+    def _on_chunk_error(self, ticket: Ticket, exc: BaseException) -> None:
+        self._release_slot()
         self._abort(ticket, exc)
 
-    def _release_slot(self, pair: tuple) -> None:
-        with self._lock:
-            self._pool_busy[pair] = max(0, self._pool_busy.get(pair, 0) - 1)
+    def _release_slot(self) -> None:
         try:
             self._sem.release()
         except ValueError:  # pragma: no cover - defensive
@@ -735,10 +698,7 @@ class BatchScheduler:
                 JoinEstimate(counts=ticket.counts, trials=ticket.trials_done),
                 tag=tag,
             )
-        with self._lock:
-            if self._inflight.get(ticket.key) is ticket:
-                del self._inflight[ticket.key]
-            self._live.discard(ticket)
+        self._retire(ticket)
         self._finish(ticket, est, cached=False)
 
     def _finish(
@@ -820,13 +780,23 @@ class BatchScheduler:
             self._abort(ticket, EstimateCancelled("request cancelled"))
         return True
 
-    def _abort(self, ticket: Ticket, exc: BaseException) -> None:
-        """Fail *ticket* and its subscribers with *exc* (once)."""
+    def _retire(self, ticket: Ticket) -> bool:
+        """Take *ticket* out of the live set and close its pool, which
+        releases its hold on the graph; True if it was live."""
         with self._lock:
             if self._inflight.get(ticket.key) is ticket:
                 del self._inflight[ticket.key]
             live = ticket in self._live
             self._live.discard(ticket)
+            if ticket.pool is not None:
+                ticket.pool.close()
+                ticket.pool = None
+        return live
+
+    def _abort(self, ticket: Ticket, exc: BaseException) -> None:
+        """Fail *ticket* and its subscribers with *exc* (once)."""
+        with self._lock:
+            live = self._retire(ticket)
             subscribers = list(ticket.subscribers)
         if live:
             self._log.error(
@@ -843,18 +813,13 @@ class BatchScheduler:
     # shutdown
     # ------------------------------------------------------------------ #
     def worker_processes(self) -> list:
-        """Live worker ``Process`` objects across all resident pools.
+        """The worker ``Process`` objects of the scheduler's set.
 
-        Empty when every pool is inline (workers == 1).  Diagnostics and
+        Empty when the set runs inline (workers == 1).  Diagnostics and
         the shutdown tests use this to assert no process outlives
         :meth:`shutdown`.
         """
-        with self._lock:
-            pools = list(self._pools.values())
-        procs = []
-        for pool in pools:
-            procs.extend(pool.processes)
-        return procs
+        return self._workers.processes
 
     def _abort_live(self) -> None:
         with self._lock:
@@ -863,12 +828,14 @@ class BatchScheduler:
             self._abort(ticket, EstimateCancelled("service shut down"))
 
     def shutdown(self, wait: bool = True, timeout: float | None = None) -> None:
-        """Stop the scheduler and its worker pools.
+        """Stop the scheduler and its worker set.
 
         With ``wait=True`` (graceful) every live request finishes first;
-        with ``wait=False`` every live request — and every request
-        coalesced onto one — fails with :class:`EstimateCancelled` at
-        once, and worker processes are terminated.  Idempotent.
+        with ``wait=False`` the workers are terminated and every live
+        request — and every request coalesced onto one — fails with
+        :class:`EstimateCancelled` at once, as does any request still
+        live once the workers are gone (a drain past *timeout*).
+        Idempotent.
         """
         if self._closed and not self._thread.is_alive():
             return
@@ -887,15 +854,10 @@ class BatchScheduler:
                 time.sleep(0.005)
         else:
             self._hard_stop = True
+            # No chunk may attach a graph the aborts below release.
+            self._workers.close(wait=False)
             self._abort_live()
         self._queue.put(None)
         self._thread.join(timeout)
-        with self._lock:
-            pools = list(self._pools.values())
-            self._pools.clear()
-            self._pool_busy.clear()
-        for pool in pools:
-            pool.close(wait=wait)
-        if not wait:
-            # Tickets whose chunks died with the terminated workers.
-            self._abort_live()
+        self._workers.close(wait=wait)
+        self._abort_live()

@@ -1,6 +1,10 @@
 """Shared-memory graph transport: handles, attach cache, cleanup."""
 
 import pickle
+import subprocess
+import sys
+import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from repro.graphs import (
     random_tree,
     shm_enabled,
 )
-from repro.graphs.shm import _ATTACHED
+from repro.graphs.shm import _ATTACH_CACHE_SIZE, _ATTACHED
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 
 @pytest.fixture(autouse=True)
@@ -158,6 +163,105 @@ class TestCleanup:
         shared.close()  # POSIX: name gone, mapping survives
         assert np.array_equal(g2.edges, g.edges)
         detach_all()
+
+    def test_detach_keeps_live_graph_mapped(self):
+        # Detaching drops the cache entry only: the mapping must outlive
+        # it while the attached graph is still held.  A run that unmaps
+        # it dies with SIGSEGV, so it runs in its own interpreter.
+        code = textwrap.dedent(
+            """
+            from repro.graphs import random_tree
+            from repro.graphs.shm import attach_graph, detach_graph, export_graph
+            g = random_tree(50, 1).graph
+            s = export_graph(g)
+            g2 = attach_graph(s.handle)
+            detach_graph(s.handle.content_hash)
+            print(int(g2.edges.sum()), int(g.edges.sum()))
+            s.close()
+            """
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        attached, original = run.stdout.split()
+        assert attached == original
+
+
+class TestSharing:
+    def test_exports_of_one_graph_share_segments(self):
+        g = _tree()
+        first = export_graph(g)
+        second = export_graph(g)
+        assert second.handle == first.handle
+        first.close()
+        assert not second.closed
+        assert not _segment_gone(second.handle.edges.name)
+        assert np.array_equal(attach_graph(second.handle).edges, g.edges)
+        second.close()
+        for spec in (first.handle.edges, first.handle.indptr, first.handle.indices):
+            assert _segment_gone(spec.name)
+
+    def test_concurrent_holders_never_lose_a_release(self):
+        # Exports are opened and released from different threads; a lost
+        # update on the holder count would unlink under a live holder or
+        # leave the segments behind.
+        g = _tree()
+        names: set[str] = set()
+        errors: list[BaseException] = []
+
+        def hold_and_release():
+            try:
+                for _ in range(100):
+                    shared = export_graph(g)
+                    names.add(shared.handle.edges.name)
+                    assert not shared.closed
+                    assert not _segment_gone(shared.handle.edges.name)
+                    shared.close()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hold_and_release) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
+        assert all(_segment_gone(name) for name in names)
+
+    def test_attach_cache_is_bounded(self):
+        graphs = [_tree(30 + i, seed=i) for i in range(_ATTACH_CACHE_SIZE + 1)]
+        exports = [export_graph(g) for g in graphs]
+        registry = MetricsRegistry()
+
+        def attaches():
+            snap = registry.snapshot()["counters"]
+            return sum(snap.get("shm_attach_total", {}).values())
+
+        try:
+            with use_registry(registry):
+                attached = [attach_graph(shared.handle) for shared in exports]
+                assert len(_ATTACHED) == _ATTACH_CACHE_SIZE
+                evicted = exports[0].handle.content_hash
+                assert evicted not in _ATTACHED
+                # The evicted graph is still mapped while it is held.
+                assert np.array_equal(attached[0].edges, graphs[0].edges)
+                assert np.array_equal(
+                    attached[0].neighbors(1), graphs[0].neighbors(1)
+                )
+                before = attaches()
+                attach_graph(exports[0].handle)
+                assert attaches() == before + 1
+                assert len(_ATTACHED) == _ATTACH_CACHE_SIZE
+        finally:
+            for shared in exports:
+                shared.close()
 
 
 class TestEnvGate:

@@ -12,11 +12,17 @@ The ISSUE-level guarantees checked here:
   seeding contract below);
 * ``shutdown`` leaves no worker process behind (no zombies), a hard
   shutdown fails every pending request at once, and submitting
-  afterwards raises.
+  afterwards raises;
+* one worker set serves the estimator's whole life, whatever graphs and
+  algorithms it runs, and its workers share the parent's resource
+  tracker.
 """
 
 import multiprocessing as mp
+import os
+import subprocess
 import sys
+import textwrap
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -357,8 +363,81 @@ class TestLifecycle:
     def test_workers_clamped_to_host(self):
         svc = Estimator(n_jobs=4096)
         try:
-            import os
-
             assert svc.workers <= (os.cpu_count() or 1)
         finally:
             svc.shutdown()
+
+
+def _shm_segments() -> set[str]:
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm on this host")
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+class TestWorkerSet:
+    GRAPHS = ("tree:40:3", "tree:48:1", "tree:32:5")
+    ALGORITHMS = ("luby_fast", "fair_tree_fast", "fair_rooted_fast")
+
+    def test_one_worker_set_for_the_service_life(self):
+        before = _shm_segments()
+        svc = Estimator(n_jobs=2, clamp_to_host=False, chunk_trials=16)
+        pid_sets = []
+        try:
+            for spec in self.GRAPHS:
+                for algorithm in self.ALGORITHMS[:2]:
+                    res = svc.estimate(
+                        graph_spec=spec,
+                        algorithm=algorithm,
+                        trials=48,
+                        seed=3,
+                        mode="exact",
+                    )
+                    serial = run_trials(make(algorithm), build_graph(spec), 48, seed=3)
+                    assert np.array_equal(res.estimate.counts, serial.counts)
+                    procs = svc._scheduler.worker_processes()
+                    pid_sets.append({p.pid for p in procs})
+        finally:
+            svc.shutdown(wait=True, timeout=30)
+        assert len(pid_sets) == 6 and len(pid_sets[0]) == 2
+        assert all(pids == pid_sets[0] for pids in pid_sets)
+        for proc in procs:
+            proc.join(10)
+            assert not proc.is_alive()
+        assert _shm_segments() - before == set()
+
+    def test_concurrent_pairs_share_one_export_per_graph(self):
+        # Three algorithms hold each graph's export at once; the last of
+        # them to settle unlinks it, before the service shuts down.
+        before = _shm_segments()
+        cells = [(spec, alg) for spec in self.GRAPHS[:2] for alg in self.ALGORITHMS]
+        with Estimator(n_jobs=2, clamp_to_host=False, chunk_trials=16) as svc:
+            handles = [
+                svc.submit(graph_spec=spec, algorithm=alg, trials=64, seed=9, mode="exact")
+                for spec, alg in cells
+            ]
+            for (spec, alg), handle in zip(cells, handles):
+                serial = run_trials(make(alg), build_graph(spec), 64, seed=9)
+                counts = handle.result(timeout=120).estimate.counts
+                assert np.array_equal(counts, serial.counts)
+            assert _shm_segments() - before == set()
+
+    def test_workers_share_the_parent_resource_tracker(self):
+        # A worker with a tracker of its own warns about "leaked"
+        # segments when it exits, and unlinks them under the exporter.
+        code = textwrap.dedent(
+            f"""
+            from repro.service import Estimator
+            with Estimator(n_jobs=2, clamp_to_host=False, chunk_trials=16) as svc:
+                for spec in {self.GRAPHS!r}:
+                    svc.estimate(graph_spec=spec, algorithm="luby_fast",
+                                 trials=32, seed=1, mode="exact")
+            """
+        )
+        run = subprocess.run(
+            [sys.executable, "-W", "ignore::DeprecationWarning", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "resource_tracker" not in run.stderr, run.stderr
