@@ -214,6 +214,19 @@ def _work(packet: tuple) -> ChunkResult:
     return _execute(algorithm, graph, chunk_packet)
 
 
+def _ignore_sigint() -> None:
+    """Worker initializer: a terminal Ctrl-C signals the whole process
+    group, and the parent alone handles it by terminating the workers.
+
+    SIGTERM keeps its handler: a worker killed by the default action
+    can die holding the task queue's lock, and ``Pool.terminate`` then
+    blocks on it.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 class WorkerSet:
     """The processes that run chunk packets, started once.
 
@@ -235,7 +248,9 @@ class WorkerSet:
             # the attached segments when the worker exits.
             resource_tracker.ensure_running()
             ctx = mp.get_context(resolve_start_method(context))
-            self._pool = ctx.Pool(processes=self.workers)
+            self._pool = ctx.Pool(
+                processes=self.workers, initializer=_ignore_sigint
+            )
 
     def submit(
         self,

@@ -38,8 +38,8 @@ Groups:
   :class:`MetricsRegistry` behind every estimator's counters and
   histograms, and the opt-in engine :class:`PhaseProfiler`
   (:func:`use_profiler`) (see ``docs/OBSERVABILITY.md``);
-* benchmarking — :class:`BenchConfig`/:func:`run_suite` and artifact
-  comparison behind ``python -m repro bench``;
+* benchmarking — :func:`run_suite` and artifact comparison behind
+  ``python -m repro bench``;
 * registry — :func:`make`/:func:`available` algorithm construction.
 """
 
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from .analysis.fairness import JoinEstimate, inequality_factor
 from .bench import (
-    BenchConfig,
     compare_artifacts,
     load_artifact,
     make_artifact,
@@ -127,7 +126,6 @@ __all__ = [
     "use_profiler",
     "current_profiler",
     # benchmarking
-    "BenchConfig",
     "run_suite",
     "make_artifact",
     "write_artifact",

@@ -1,17 +1,17 @@
-"""Continuous benchmark harness (``repro bench``).
+"""Deterministic count suite (``repro bench``).
 
 Three layers, each usable on its own:
 
-* :mod:`~repro.bench.suite` — the declarative benchmark suite: engine
-  throughput, service latency percentiles, cache warm-vs-cold speedup,
-  and deterministic per-algorithm round/message counts.
+* :mod:`~repro.bench.suite` — the declarative suite of deterministic
+  counts: faithful-engine rounds and messages, fast-engine iterations,
+  and the service's evidence, routing and telemetry invariants.
 * :mod:`~repro.bench.artifact` — schema-versioned ``BENCH_<sha>.json``
   artifacts with an environment fingerprint.
 * :mod:`~repro.bench.compare` — baseline comparison with per-metric
-  deltas and regression gating (count metrics gate on any deviation;
-  timing metrics are report-only unless ``strict_timing``).
+  deltas; a metric beyond its tolerance, or on one side only, regresses.
 
-The CLI front-end is ``repro bench`` (see :mod:`repro.cli`).
+The CLI front-end is ``repro bench`` (see :mod:`repro.cli`).  Wall-clock
+time is measured by ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -26,19 +26,12 @@ from .artifact import (
     write_artifact,
 )
 from .compare import CompareReport, CompareRow, compare_artifacts
-from .suite import BenchConfig, run_suite
-from .trend import MetricTrend, TrendPoint, TrendReport, build_trend, collect_artifacts
+from .suite import run_suite
 
 __all__ = [
     "SCHEMA_VERSION",
-    "BenchConfig",
     "CompareReport",
     "CompareRow",
-    "MetricTrend",
-    "TrendPoint",
-    "TrendReport",
-    "build_trend",
-    "collect_artifacts",
     "compare_artifacts",
     "default_artifact_path",
     "environment_fingerprint",

@@ -3,20 +3,16 @@
 An artifact is a plain JSON document::
 
     {
-      "schema": "repro-bench/1",
+      "schema": "repro-bench/2",
       "git_sha": "939e3b7",
       "created_unix": 1754400000.0,
       "environment": {...},          # host + toolchain fingerprint
-      "config": {...},               # suite knobs the run used
-      "metrics": {name: {...}, ...}  # one entry per benchmark metric
+      "metrics": {name: {...}, ...}  # one entry per count metric
     }
 
-Each metric entry carries ``value``, ``unit``, ``kind`` (``"timing"`` or
-``"count"``), ``higher_is_better``, ``gate``, ``tolerance_pct`` and
-optional ``details``.  The ``kind``/``gate`` fields are what makes
-cross-machine comparison sane: deterministic count metrics gate hard,
-wall-clock timing metrics are advisory by default (see
-:mod:`repro.bench.compare`).
+Each metric entry carries ``value``, ``unit``, ``tolerance_pct`` (the
+relative deviation from a baseline it tolerates, see
+:mod:`repro.bench.compare`) and optional ``details``.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ __all__ = [
 ]
 
 #: Bump on any backwards-incompatible artifact layout change.
-SCHEMA_VERSION = "repro-bench/1"
+SCHEMA_VERSION = "repro-bench/2"
 
 
 def git_sha(short: bool = True) -> str:
@@ -58,7 +54,7 @@ def git_sha(short: bool = True) -> str:
 
 
 def environment_fingerprint() -> dict[str, Any]:
-    """Host/toolchain facts that explain timing differences between runs."""
+    """Host and toolchain facts of the run."""
     import numpy as np
 
     return {
@@ -68,11 +64,6 @@ def environment_fingerprint() -> dict[str, Any]:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "bench_knobs": {
-            "REPRO_BENCH_TRIALS": os.environ.get("REPRO_BENCH_TRIALS"),
-            "REPRO_BENCH_CITY_N": os.environ.get("REPRO_BENCH_CITY_N"),
-            "REPRO_BENCH_FULL": os.environ.get("REPRO_BENCH_FULL"),
-        },
     }
 
 
@@ -81,17 +72,13 @@ def default_artifact_path(root: str | Path = ".", sha: str | None = None) -> Pat
     return Path(root) / f"BENCH_{sha if sha is not None else git_sha()}.json"
 
 
-def make_artifact(
-    metrics: Mapping[str, Mapping[str, Any]],
-    config: Mapping[str, Any],
-) -> dict[str, Any]:
+def make_artifact(metrics: Mapping[str, Mapping[str, Any]]) -> dict[str, Any]:
     """Assemble the artifact document for one suite run."""
     return {
         "schema": SCHEMA_VERSION,
         "git_sha": git_sha(),
         "created_unix": time.time(),
         "environment": environment_fingerprint(),
-        "config": dict(config),
         "metrics": {name: dict(entry) for name, entry in metrics.items()},
     }
 

@@ -1,14 +1,10 @@
 """Baseline comparison and regression gating for bench artifacts.
 
-The comparison walks the union of metric names in two artifacts and
-classifies each shared metric:
-
-* ``count`` metrics are deterministic — *any* delta beyond the metric's
-  tolerance (default 0%) is a behavioural regression and gates whenever
-  the metric's ``gate`` flag is set.
-* ``timing`` metrics are machine-dependent — a bad-direction delta
-  beyond tolerance is *reported* but only gates when the caller passes
-  ``strict_timing=True`` (same-machine comparisons, perf CI boxes).
+The comparison walks the union of metric names in two artifacts, and
+one rule judges every row: a metric regresses when its delta exceeds
+the entry's ``tolerance_pct`` in either direction, when it moves from
+zero (no percentage exists), or when it is present on one side only,
+so a count gate cannot vanish from the suite unnoticed.
 
 ``repro bench --compare BASELINE.json`` prints :meth:`CompareReport.format`
 and exits nonzero when :attr:`CompareReport.ok` is false.
@@ -27,68 +23,58 @@ class CompareRow:
     """One metric's baseline-vs-current verdict."""
 
     name: str
-    kind: str
     unit: str
     baseline: float | None
     current: float | None
     delta_pct: float | None
     tolerance_pct: float
     regressed: bool
-    gated: bool
     note: str = ""
 
 
 @dataclass
 class CompareReport:
-    """All rows plus the overall gate verdict."""
+    """All rows plus the overall verdict."""
 
     rows: list[CompareRow] = field(default_factory=list)
     baseline_sha: str = "unknown"
     current_sha: str = "unknown"
-    strict_timing: bool = False
 
     @property
-    def gating_failures(self) -> list[CompareRow]:
-        return [r for r in self.rows if r.regressed and r.gated]
+    def regressions(self) -> list[CompareRow]:
+        return [r for r in self.rows if r.regressed]
 
     @property
     def ok(self) -> bool:
-        """True when no gated metric regressed."""
-        return not self.gating_failures
+        """True when no metric regressed."""
+        return not self.regressions
 
     def format(self) -> str:
         """Human-readable report (fixed-width table + verdict)."""
         lines = [
             f"bench compare: baseline {self.baseline_sha} -> "
-            f"current {self.current_sha}"
-            + (" [strict timing]" if self.strict_timing else ""),
-            f"{'metric':<38} {'kind':<7} {'baseline':>12} {'current':>12} "
+            f"current {self.current_sha}",
+            f"{'metric':<38} {'baseline':>12} {'current':>12} "
             f"{'delta':>9}  verdict",
         ]
         for r in sorted(self.rows, key=lambda r: (not r.regressed, r.name)):
             base = "-" if r.baseline is None else f"{r.baseline:.4g}"
             cur = "-" if r.current is None else f"{r.current:.4g}"
             delta = "-" if r.delta_pct is None else f"{r.delta_pct:+.1f}%"
-            if r.regressed and r.gated:
-                verdict = "REGRESSED"
-            elif r.regressed:
-                verdict = "regressed (not gated)"
-            else:
-                verdict = "ok"
+            verdict = "REGRESSED" if r.regressed else "ok"
             if r.note:
                 verdict += f" [{r.note}]"
             lines.append(
-                f"{r.name:<38} {r.kind:<7} {base:>12} {cur:>12} {delta:>9}  "
-                f"{verdict}"
+                f"{r.name:<38} {base:>12} {cur:>12} {delta:>9}  {verdict}"
             )
-        failures = self.gating_failures
+        failures = self.regressions
         if failures:
             lines.append(
-                f"FAIL: {len(failures)} gated metric(s) regressed: "
+                f"FAIL: {len(failures)} metric(s) regressed: "
                 + ", ".join(r.name for r in failures)
             )
         else:
-            lines.append(f"OK: {len(self.rows)} metric(s) compared, no gated "
+            lines.append(f"OK: {len(self.rows)} metric(s) compared, no "
                          "regressions")
         return "\n".join(lines)
 
@@ -99,8 +85,7 @@ def _delta_pct(baseline: float, current: float) -> float | None:
     A zero baseline admits no percentage (every report renderer would
     otherwise have to special-case ``inf``/JSON-illegal values), so a
     nonzero-from-zero move returns ``None`` and the caller annotates
-    the row ``new from zero`` and judges regression by direction, not
-    magnitude.
+    the row ``new from zero``.
     """
     if baseline == 0:
         return 0.0 if current == 0 else None
@@ -110,17 +95,11 @@ def _delta_pct(baseline: float, current: float) -> float | None:
 def compare_artifacts(
     current: Mapping[str, Any],
     baseline: Mapping[str, Any],
-    tolerance_pct: float | None = None,
-    strict_timing: bool = False,
 ) -> CompareReport:
-    """Compare two artifact documents (see :mod:`repro.bench.artifact`).
-
-    ``tolerance_pct`` overrides every metric's own tolerance when given.
-    """
+    """Compare two artifact documents (see :mod:`repro.bench.artifact`)."""
     report = CompareReport(
         baseline_sha=str(baseline.get("git_sha", "unknown")),
         current_sha=str(current.get("git_sha", "unknown")),
-        strict_timing=strict_timing,
     )
     base_metrics: Mapping[str, Any] = baseline.get("metrics", {})
     cur_metrics: Mapping[str, Any] = current.get("metrics", {})
@@ -132,55 +111,30 @@ def compare_artifacts(
             entry = cur_entry if base_entry is None else base_entry
             report.rows.append(CompareRow(
                 name=name,
-                kind=str(entry.get("kind", "timing")),
                 unit=str(entry.get("unit", "")),
                 baseline=None if base_entry is None else float(base_entry["value"]),
                 current=None if cur_entry is None else float(cur_entry["value"]),
                 delta_pct=None,
                 tolerance_pct=0.0,
-                regressed=False,
-                gated=False,
+                regressed=True,
                 note=f"missing in {missing}",
             ))
             continue
 
-        kind = str(cur_entry.get("kind", "timing"))
         base_val = float(base_entry["value"])
         cur_val = float(cur_entry["value"])
         delta = _delta_pct(base_val, cur_val)
-        tol = (
-            float(tolerance_pct)
-            if tolerance_pct is not None
-            else float(cur_entry.get("tolerance_pct", 0.0))
-        )
-
-        note = "" if delta is not None else "new from zero"
-        if kind == "count":
-            # Deterministic: any deviation beyond tolerance is real.  A
-            # nonzero-from-zero move has no percentage but is always a
-            # behavioural change, so it regresses regardless of tolerance.
-            regressed = True if delta is None else abs(delta) > tol
-            gated = bool(cur_entry.get("gate", True))
-        else:
-            higher_is_better = bool(cur_entry.get("higher_is_better", False))
-            if delta is None:
-                # From-zero timing: bad only in the bad direction.
-                regressed = cur_val > 0 and not higher_is_better
-            else:
-                bad = -delta if higher_is_better else delta
-                regressed = bad > tol
-            gated = strict_timing or bool(cur_entry.get("gate", False))
-
+        tol = float(cur_entry.get("tolerance_pct", 0.0))
         report.rows.append(CompareRow(
             name=name,
-            kind=kind,
             unit=str(cur_entry.get("unit", "")),
             baseline=base_val,
             current=cur_val,
             delta_pct=delta,
             tolerance_pct=tol,
-            regressed=regressed,
-            gated=gated,
-            note=note,
+            # A nonzero-from-zero move has no percentage but is always a
+            # behavioural change, so it regresses regardless of tolerance.
+            regressed=delta is None or abs(delta) > tol,
+            note="" if delta is not None else "new from zero",
         ))
     return report

@@ -1,22 +1,15 @@
-"""The declarative benchmark suite behind ``repro bench``.
+"""The declarative count suite behind ``repro bench``.
 
-Every benchmark is a :class:`BenchCase` whose ``fn(config)`` returns one
-or more *metric entries* (flat dicts, see :mod:`repro.bench.artifact`).
-Two kinds coexist:
-
-``timing``
-    Wall-clock-derived (throughput, latency percentiles, speedups).
-    Machine-dependent, so comparisons treat them as advisory unless
-    explicitly gated (``repro bench --compare --strict-timing``).
-
-``count``
-    Deterministic given the pinned seeds — synchronous rounds and
-    message totals from :class:`~repro.runtime.metrics.RunMetrics`, fast
-    engine iteration counts.  Any deviation from baseline is a real
-    behavioural change and gates by default.
-
-Count cases use *fixed* graph sizes and seeds independent of the scale
-knobs, so a ``--quick`` baseline stays valid for full runs.
+Every benchmark is a :class:`BenchCase` whose ``fn()`` returns one or
+more *metric entries* (flat dicts, see :mod:`repro.bench.artifact`).
+Every metric is a count that the pinned seeds and inputs fix:
+synchronous rounds and message totals from
+:class:`~repro.runtime.metrics.RunMetrics`, fast-engine iteration
+counts, and the service's evidence, routing and telemetry invariants.
+Any deviation from the baseline beyond an entry's ``tolerance_pct`` is
+a behavioural change (:mod:`repro.bench.compare`).  Wall-clock time is
+measured by ``perfbench/``, which runs repeatedly in alternating pairs
+and records the host state.
 """
 
 from __future__ import annotations
@@ -24,68 +17,15 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-__all__ = ["BenchCase", "BenchConfig", "build_cases", "run_suite"]
+__all__ = ["BenchCase", "build_cases", "run_suite"]
 
-#: Advisory tolerance for timing metrics (percent) before a comparison
-#: even mentions the delta as a regression candidate.
-TIMING_TOLERANCE_PCT = 25.0
-
-# Pinned inputs for deterministic count metrics — never scaled by knobs.
+# Pinned inputs of the count metrics.
 _COUNT_N = 60
 _COUNT_SEED = 12345
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
-
-
-@dataclass
-class BenchConfig:
-    """Scale knobs for one suite run.
-
-    ``quick`` pins a small deterministic workload for CI smoke gates;
-    otherwise ``REPRO_BENCH_TRIALS`` / ``REPRO_BENCH_CITY_N`` (the same
-    knobs as ``benchmarks/conftest.py``) set the scale.
-    """
-
-    quick: bool = False
-    trials: int = field(default=0)
-    tree_n: int = field(default=0)
-    service_requests: int = field(default=0)
-    graph_side: int = field(default=0)
-    only: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.trials <= 0:
-            self.trials = 200 if self.quick else _env_int("REPRO_BENCH_TRIALS", 400)
-        if self.tree_n <= 0:
-            self.tree_n = 120 if self.quick else _env_int("REPRO_BENCH_CITY_N", 400)
-        if self.service_requests <= 0:
-            self.service_requests = 6 if self.quick else 16
-        if self.graph_side <= 0:
-            # side of the construction/IO benchmark grid (n = side**2);
-            # REPRO_BENCH_GRAPH_SIDE=1000 reproduces the million-node
-            # acceptance measurement.
-            self.graph_side = (
-                60 if self.quick else _env_int("REPRO_BENCH_GRAPH_SIDE", 250)
-            )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "quick": self.quick,
-            "trials": self.trials,
-            "tree_n": self.tree_n,
-            "service_requests": self.service_requests,
-            "graph_side": self.graph_side,
-            "count_n": _COUNT_N,
-            "count_seed": _COUNT_SEED,
-        }
+_GRID_SIDE = 60
 
 
 @dataclass(frozen=True)
@@ -93,44 +33,24 @@ class BenchCase:
     """One named benchmark producing one or more metric entries."""
 
     name: str
-    fn: Callable[[BenchConfig], dict[str, dict[str, Any]]]
+    fn: Callable[[], dict[str, dict[str, Any]]]
     description: str = ""
 
 
-def _entry(
+def _count(
     value: float,
     unit: str,
-    kind: str,
-    higher_is_better: bool,
-    gate: bool,
-    tolerance_pct: float,
+    tolerance_pct: float = 0.0,
     details: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    out: dict[str, Any] = {
+    entry: dict[str, Any] = {
         "value": float(value),
         "unit": unit,
-        "kind": kind,
-        "higher_is_better": higher_is_better,
-        "gate": gate,
         "tolerance_pct": tolerance_pct,
     }
     if details:
-        out["details"] = details
-    return out
-
-
-def _timing(value: float, unit: str, higher_is_better: bool, **kw: Any):
-    return _entry(
-        value, unit, "timing", higher_is_better,
-        gate=False, tolerance_pct=TIMING_TOLERANCE_PCT, **kw,
-    )
-
-
-def _count(value: float, unit: str, **kw: Any):
-    return _entry(
-        value, unit, "count", higher_is_better=False,
-        gate=True, tolerance_pct=0.0, **kw,
-    )
+        entry["details"] = details
+    return entry
 
 
 def _bench_tree(n: int, seed: int = 7):
@@ -139,184 +59,11 @@ def _bench_tree(n: int, seed: int = 7):
     return random_tree(n, seed=seed).graph
 
 
-# --------------------------------------------------------------------- #
-# timing cases
-# --------------------------------------------------------------------- #
-def _engine_throughput(config: BenchConfig) -> dict[str, dict[str, Any]]:
-    """Exact per-trial throughput (trials/sec) for the fast engines."""
-    from ..fast.fair_tree import FastFairTree
-    from ..fast.luby import FastLuby
-    from ..runtime.rng import generator_from
-
-    graph = _bench_tree(config.tree_n)
-    trials = max(1, config.trials // 4)
-    out: dict[str, dict[str, Any]] = {}
-    for algorithm in (FastLuby(), FastFairTree()):
-        rng = generator_from(0)
-        started = time.perf_counter()
-        for _ in range(trials):
-            algorithm.run(graph, rng)
-        elapsed = time.perf_counter() - started
-        out[f"engine.{algorithm.name}.throughput"] = _timing(
-            trials / elapsed, "trials/s", higher_is_better=True,
-            details={"trials": trials, "n": config.tree_n},
-        )
-    return out
-
-
-def _batched_throughput(config: BenchConfig) -> dict[str, dict[str, Any]]:
-    """Disjoint-union batched throughput (trials/sec), all five engines."""
-    from ..fast.batched import (
-        batched_color_mis_trials,
-        batched_fair_bipart_trials,
-        batched_fair_rooted_trials,
-        batched_fair_tree_trials,
-        batched_luby_trials,
-    )
-
-    graph = _bench_tree(config.tree_n)
-    out: dict[str, dict[str, Any]] = {}
-    for name, runner in (
-        ("batched_luby", batched_luby_trials),
-        ("batched_fair_tree", batched_fair_tree_trials),
-        ("batched_fair_rooted", batched_fair_rooted_trials),
-        ("batched_fair_bipart", batched_fair_bipart_trials),
-        ("batched_color_mis", batched_color_mis_trials),
-    ):
-        started = time.perf_counter()
-        runner(graph, config.trials, seed=0)
-        elapsed = time.perf_counter() - started
-        out[f"engine.{name}.throughput"] = _timing(
-            config.trials / elapsed, "trials/s", higher_is_better=True,
-            details={"trials": config.trials, "n": config.tree_n},
-        )
-    return out
-
-
-def _shm_transport(config: BenchConfig) -> dict[str, dict[str, Any]]:
-    """Zero-copy transport: bytes shipped per pool handle vs a pickled
-    graph, and the cold attach latency on the worker side.
-
-    Byte counts are reported as advisory (``timing``) entries: pickle
-    framing differs across interpreter versions, so gating them would
-    make the baseline interpreter-specific.
-    """
-    import pickle
-
-    from ..graphs.shm import (
-        ShmUnavailable,
-        detach_graph,
-        export_graph,
-        shm_enabled,
-    )
-    from ..graphs.shm import attach_graph as _attach
-
-    graph = _bench_tree(config.tree_n)
-    graph_bytes = len(pickle.dumps(graph))
-    if not shm_enabled():
-        return {}
-    try:
-        shared = export_graph(graph)
-    except ShmUnavailable:
-        return {}
-    try:
-        handle_bytes = len(pickle.dumps(shared.handle))
-        started = time.perf_counter()
-        _attach(shared.handle)
-        attach_ms = (time.perf_counter() - started) * 1e3
-        detach_graph(shared.handle.content_hash)
-    finally:
-        shared.close()
-    details = {
-        "n": config.tree_n,
-        "graph_pickle_bytes": graph_bytes,
-        "shared_bytes": shared.handle.nbytes_shared,
-    }
-    return {
-        "shm.handle_bytes": _timing(
-            handle_bytes, "bytes", higher_is_better=False, details=details,
-        ),
-        "shm.bytes_shipped_ratio": _timing(
-            graph_bytes / handle_bytes, "x", higher_is_better=True,
-            details=details,
-        ),
-        "shm.attach_ms": _timing(
-            attach_ms, "ms", higher_is_better=False, details=details,
-        ),
-    }
-
-
-def _service_latency(config: BenchConfig) -> dict[str, dict[str, Any]]:
-    """Submit→complete latency percentiles through the estimation service."""
-    from ..service.estimator import Estimator
-
-    graph = _bench_tree(max(40, config.tree_n // 4))
-    trials = max(8, config.trials // 8)
-    with Estimator(n_jobs=1) as service:
-        handles = [
-            service.submit(
-                graph=graph,
-                algorithm="fair_tree_fast",
-                trials=trials,
-                seed=1000 + i,  # distinct seeds: no cache coalescing
-            )
-            for i in range(config.service_requests)
-        ]
-        for handle in handles:
-            handle.result(timeout=120.0)
-        summaries = service.registry.quantiles("service_request_latency_seconds")
-    out: dict[str, dict[str, Any]] = {}
-    for labels, summary in summaries.items():
-        if summary["count"] == 0:  # empty histogram → None quantiles
-            continue
-        for pct in ("p50", "p95", "p99"):
-            value = summary[pct]
-            if value is None:
-                continue
-            out[f"service.latency_ms.{pct}"] = _timing(
-                value * 1e3, "ms", higher_is_better=False,
-                details={
-                    "labels": labels,
-                    "count": summary["count"],
-                    "mean_ms": summary["mean"] * 1e3,
-                },
-            )
-        break  # single algorithm submitted → single label set
-    return out
-
-
-def _cache_speedup(config: BenchConfig) -> dict[str, dict[str, Any]]:
-    """Warm-vs-cold speedup of an identical repeated request."""
-    from ..service.estimator import Estimator
-
-    graph = _bench_tree(max(40, config.tree_n // 4))
-    trials = max(8, config.trials // 4)
-    with Estimator(n_jobs=1) as service:
-        started = time.perf_counter()
-        service.estimate(graph=graph, algorithm="fair_tree_fast",
-                         trials=trials, seed=0, timeout=120.0)
-        cold = time.perf_counter() - started
-        started = time.perf_counter()
-        service.estimate(graph=graph, algorithm="fair_tree_fast",
-                         trials=trials, seed=0, timeout=120.0)
-        warm = time.perf_counter() - started
-    return {
-        "cache.warm_cold_speedup": _timing(
-            cold / warm if warm > 0 else float("inf"), "x",
-            higher_is_better=True,
-            details={"cold_ms": cold * 1e3, "warm_ms": warm * 1e3,
-                     "trials": trials},
-        )
-    }
-
-
-def _sequential_stopping(config: BenchConfig) -> dict[str, dict[str, Any]]:
+def _sequential_stopping() -> dict[str, dict[str, Any]]:
     """Precision-request economics: evidence reuse and realized trials.
 
     The acceptance workload is pinned (tree:500, ``fair_tree_fast``,
-    2000-trial fixed budget) independent of the scale knobs, so the gated
-    counts stay valid between ``--quick`` and full runs.  One fixed
-    request deposits evidence; the following default-precision request
+    2000-trial fixed budget).  One fixed request deposits evidence; the following default-precision request
     must satisfy its CI from that evidence alone (``warm_new_trials``
     gates at 0 — any regression in the evidence plane or the stopping
     rule shows up as new trials executed).  A cold seeded sweep then
@@ -335,19 +82,15 @@ def _sequential_stopping(config: BenchConfig) -> dict[str, dict[str, Any]]:
     with Estimator(n_jobs=1) as service:
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", DeprecationWarning)
-            started = time.perf_counter()
             service.estimate(
                 graph=graph, algorithm="fair_tree_fast",
                 trials=fixed_trials, seed=_COUNT_SEED, timeout=300.0,
             )
-            cold_s = time.perf_counter() - started
-        started = time.perf_counter()
         warm = service.estimate(
             graph=graph, algorithm="fair_tree_fast",
             precision=Precision.default(), seed=_COUNT_SEED + 1,
             timeout=300.0,
         )
-        warm_s = time.perf_counter() - started
         warm_new = warm.realized_trials - warm.prior_trials
 
         sweep_graph = _bench_tree(150, seed=_COUNT_SEED)
@@ -377,24 +120,16 @@ def _sequential_stopping(config: BenchConfig) -> dict[str, dict[str, Any]]:
         "sequential.warm_new_trials": _count(
             warm_new, "trials", details=details,
         ),
-        "sequential.warm_speedup": _timing(
-            cold_s / warm_s if warm_s > 0 else float("inf"), "x",
-            higher_is_better=True,
-            details={"cold_ms": cold_s * 1e3, "warm_ms": warm_s * 1e3,
-                     **details},
+        "sequential.realized_trials.p50": _count(
+            p50, "trials", tolerance_pct=10.0, details=sweep_details,
         ),
-        "sequential.realized_trials.p50": _entry(
-            p50, "trials", "count", higher_is_better=False,
-            gate=True, tolerance_pct=10.0, details=sweep_details,
-        ),
-        "sequential.realized_trials.p95": _entry(
-            p95, "trials", "count", higher_is_better=False,
-            gate=True, tolerance_pct=10.0, details=sweep_details,
+        "sequential.realized_trials.p95": _count(
+            p95, "trials", tolerance_pct=10.0, details=sweep_details,
         ),
     }
 
 
-def _remote_telemetry(config: BenchConfig) -> dict[str, dict[str, Any]]:
+def _remote_telemetry() -> dict[str, dict[str, Any]]:
     """Cross-process telemetry plane: merge completeness.
 
     A real 2-worker pool runs a seeded workload with the plane attached
@@ -411,8 +146,8 @@ def _remote_telemetry(config: BenchConfig) -> dict[str, dict[str, Any]]:
     from ..obs.metrics import MetricsRegistry, parse_label_key
     from ..obs.remote import RemoteTelemetry
 
-    graph = _bench_tree(max(40, config.tree_n // 4))
-    trials = max(16, config.trials // 4)
+    graph = _bench_tree(40)
+    trials = 50
     workers = 2
     registry = MetricsRegistry()
     telemetry = RemoteTelemetry(registry)
@@ -447,26 +182,6 @@ def _remote_telemetry(config: BenchConfig) -> dict[str, dict[str, Any]]:
     }
 
 
-def _profiled_run(config: BenchConfig) -> dict[str, dict[str, Any]]:
-    """One profiled FastFairTree run; per-phase breakdown in details."""
-    from ..fast.fair_tree import FastFairTree
-    from ..obs.profile import use_profiler
-    from ..runtime.rng import generator_from
-
-    graph = _bench_tree(config.tree_n)
-    with use_profiler() as prof:
-        started = time.perf_counter()
-        FastFairTree().run(graph, generator_from(0))
-        elapsed = time.perf_counter() - started
-    report = prof.report()
-    return {
-        "profile.fair_tree_fast.run_ms": _timing(
-            elapsed * 1e3, "ms", higher_is_better=False,
-            details={"phases": report["phases"], "counts": report["counts"]},
-        )
-    }
-
-
 def _grid_edge_tuples(rows: int, cols: int) -> list[tuple[int, int]]:
     """Nested-loop grid edges — the pre-array construction reference."""
     edges: list[tuple[int, int]] = []
@@ -480,7 +195,7 @@ def _grid_edge_tuples(rows: int, cols: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _graph_build(config: BenchConfig) -> dict[str, dict[str, Any]]:
+def _graph_build() -> dict[str, dict[str, Any]]:
     """Array-native construction vs the tuple-of-tuples reference path.
 
     The gated metric is a *hash-mismatch count*: every generator family
@@ -489,7 +204,7 @@ def _graph_build(config: BenchConfig) -> dict[str, dict[str, Any]]:
     ``from_edges`` with a Python list), and a shuffled/reversed tuple
     round-trip of a random tree must re-canonicalize to the same hash.
     Any nonzero value means the vectorized canonicalization changed graph
-    content.  The speedup itself is wall-clock and therefore advisory.
+    content.
     """
     import numpy as np
 
@@ -541,51 +256,24 @@ def _graph_build(config: BenchConfig) -> dict[str, dict[str, Any]]:
     check("random_tree_scrambled", tree,
           StaticGraph.from_edges(n, scrambled))
 
-    side = config.graph_side
-    started = time.perf_counter()
-    fast = grid_graph(side, side)
-    array_s = time.perf_counter() - started
-    started = time.perf_counter()
-    slow = StaticGraph.from_edges(side * side, _grid_edge_tuples(side, side))
-    tuple_s = time.perf_counter() - started
-    if fast.content_hash() != slow.content_hash():
-        mismatches += 1
-        checked.append("grid_timing_pair")
-
-    started = time.perf_counter()
-    random_tree(side * side, seed=_COUNT_SEED)
-    tree_s = time.perf_counter() - started
-
-    details = {"side": side, "n": side * side, "m": fast.m,
-               "array_ms": array_s * 1e3, "tuple_ms": tuple_s * 1e3}
+    side = _GRID_SIDE
+    check(f"grid_{side}x{side}", grid_graph(side, side),
+          StaticGraph.from_edges(side * side, _grid_edge_tuples(side, side)))
     return {
         "graph.build.hash_mismatches": _count(
             mismatches, "graphs", details={"checked": checked},
         ),
-        "graph.build.grid_speedup": _timing(
-            tuple_s / array_s if array_s > 0 else float("inf"), "x",
-            higher_is_better=True, details=details,
-        ),
-        "graph.build.grid_ms": _timing(
-            array_s * 1e3, "ms", higher_is_better=False, details=details,
-        ),
-        "graph.build.random_tree_ms": _timing(
-            tree_s * 1e3, "ms", higher_is_better=False,
-            details={"n": side * side, "seed": _COUNT_SEED},
-        ),
     }
 
 
-def _graph_load(config: BenchConfig) -> dict[str, dict[str, Any]]:
-    """On-disk formats: memmap open latency vs the ``.npz`` decompress path.
+def _graph_load() -> dict[str, dict[str, Any]]:
+    """On-disk formats: round trips through every loader.
 
-    The gated metric counts round-trip hash mismatches across all three
+    The metric counts round-trip hash mismatches across all three
     loaders (``.reprograph`` with verification, ``.npz``, and a SNAP
     edge-list rendering that includes duplicate reversed rows and a
     self-loop) plus a check that a memmapped load arrives with its CSR
-    pre-materialized.  Timings are advisory: memmap open cost is a
-    header read, so it is reported at whatever scale ``graph_side``
-    pins.
+    pre-materialized.
     """
     import tempfile
     from pathlib import Path
@@ -595,17 +283,15 @@ def _graph_load(config: BenchConfig) -> dict[str, dict[str, Any]]:
     from ..graphs.io import load_graph, save_graph
     from ..graphs.snap import load_snap_edgelist
 
-    side = config.graph_side
+    side = _GRID_SIDE
     graph = grid_graph(side, side)
     mismatches = 0
     checked: list[str] = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         root = Path(tmp)
         disk = root / "g.reprograph"
-        file_bytes = save_reprograph(disk, graph)
-        started = time.perf_counter()
+        save_reprograph(disk, graph)
         loaded = load_reprograph(disk)
-        memmap_s = time.perf_counter() - started
         checked.append("reprograph")
         if load_reprograph(disk, verify=True).content_hash() != graph.content_hash():
             mismatches += 1
@@ -615,11 +301,8 @@ def _graph_load(config: BenchConfig) -> dict[str, dict[str, Any]]:
 
         npz = root / "g.npz"
         save_graph(npz, graph)
-        started = time.perf_counter()
-        npz_graph = load_graph(npz)
-        npz_s = time.perf_counter() - started
         checked.append("npz")
-        if npz_graph.content_hash() != graph.content_hash():
+        if load_graph(npz).content_hash() != graph.content_hash():
             mismatches += 1
 
         # SNAP text round-trip on a pinned small graph: both directions
@@ -640,27 +323,14 @@ def _graph_load(config: BenchConfig) -> dict[str, dict[str, Any]]:
         ):
             mismatches += 1
 
-    details = {"side": side, "n": graph.n, "m": graph.m,
-               "file_mb": file_bytes / 1e6,
-               "memmap_ms": memmap_s * 1e3, "npz_ms": npz_s * 1e3}
     return {
         "graph.load.roundtrip_mismatches": _count(
-            mismatches, "graphs", details={"checked": checked},
-        ),
-        "graph.load.reprograph_ms": _timing(
-            memmap_s * 1e3, "ms", higher_is_better=False, details=details,
-        ),
-        "graph.load.npz_vs_reprograph": _timing(
-            npz_s / memmap_s if memmap_s > 0 else float("inf"), "x",
-            higher_is_better=True, details=details,
+            mismatches, "graphs", details={"checked": checked, "side": side},
         ),
     }
 
 
-# --------------------------------------------------------------------- #
-# count cases (deterministic; gate on any deviation)
-# --------------------------------------------------------------------- #
-def _faithful_counts(config: BenchConfig) -> dict[str, dict[str, Any]]:
+def _faithful_counts() -> dict[str, dict[str, Any]]:
     """Rounds/messages of the faithful engines on a pinned seeded run."""
     from ..algorithms.fair_tree import FairTree
     from ..algorithms.luby import LubyMIS
@@ -682,7 +352,7 @@ def _faithful_counts(config: BenchConfig) -> dict[str, dict[str, Any]]:
     return out
 
 
-def _fast_counts(config: BenchConfig) -> dict[str, dict[str, Any]]:
+def _fast_counts() -> dict[str, dict[str, Any]]:
     """Iteration counts of the fast engines on a pinned seeded run."""
     from ..fast.luby import FastLuby
     from ..runtime.rng import generator_from
@@ -699,19 +369,16 @@ def _fast_counts(config: BenchConfig) -> dict[str, dict[str, Any]]:
     return out
 
 
-def _frontend_load(config: BenchConfig) -> dict[str, dict[str, Any]]:
+def _frontend_load() -> dict[str, dict[str, Any]]:
     """Closed-loop load through the sharded TCP front end.
 
-    Structure over speed: wall-clock throughput depends on the host's
-    core count (a 1-core runner cannot show a shard speedup), so the
-    *gated* metrics are the structural invariants that must hold on any
-    machine — warm requests route to the same shard and cost zero new
-    trials, nominal (self-calibrated, half-capacity) load sheds nothing,
-    and overload sheds *structurally*: at least one shed, every
-    non-success carrying a machine-readable error code.  The goodput
-    numbers (nominal rps, 4-vs-1-shard ratio, overloaded-admitted p99)
-    are recorded as advisory timing metrics with the host's cpu count in
-    the details.
+    The metrics are the structural invariants that must hold on any
+    machine: warm requests route to the same shard and cost zero new
+    trials, nominal load sheds nothing, and overload sheds
+    *structurally* (at least one shed, every non-success carrying a
+    machine-readable error code).  A warm-latency calibration sets the
+    nominal (half-capacity) and overload rates, so both are relative to
+    the host.
     """
     import asyncio
     import contextlib
@@ -721,7 +388,6 @@ def _frontend_load(config: BenchConfig) -> dict[str, dict[str, Any]]:
 
     nominal_spec = f"tree:120:{_COUNT_SEED}"
     warm_specs = [f"tree:{80 + i}:1" for i in range(6)]
-    cmp_specs = [f"tree:{90 + i}:2" for i in range(8)]
     overload_specs = [f"tree:{130 + i}:3" for i in range(10)]
     evidence_spec = f"tree:500:{_COUNT_SEED}"
 
@@ -813,22 +479,7 @@ def _frontend_load(config: BenchConfig) -> dict[str, dict[str, Any]]:
             nominal_rate = max(2.0, 0.5 / mean_lat)
             nominal = await run_loadgen(
                 "127.0.0.1", port1, [v1(nominal_spec)] * 30,
-                rate=nominal_rate, slo_ms=10_000.0, timeout_s=300,
-            )
-
-            # -- 1 vs 4 shards at the same super-capacity offered load.
-            for spec in cmp_specs:  # pre-warm both frontends
-                await rpc(port1, v1(spec))
-                await rpc(port4, v1(spec))
-            cmp_rate = 3.0 / mean_lat
-            cmp_requests = [v1(cmp_specs[i % len(cmp_specs)]) for i in range(48)]
-            cmp1 = await run_loadgen(
-                "127.0.0.1", port1, cmp_requests,
-                rate=cmp_rate, slo_ms=10_000.0, timeout_s=300,
-            )
-            cmp4 = await run_loadgen(
-                "127.0.0.1", port4, cmp_requests,
-                rate=cmp_rate, slo_ms=10_000.0, timeout_s=300,
+                rate=nominal_rate, timeout_s=300,
             )
 
             # -- overload: shrink the shard queue and slam it 4x over
@@ -842,7 +493,7 @@ def _frontend_load(config: BenchConfig) -> dict[str, dict[str, Any]]:
                 "127.0.0.1", port1,
                 [v1(overload_specs[i % len(overload_specs)], seed=i)
                  for i in range(30)],
-                rate=overload_rate, slo_ms=10_000.0, timeout_s=300,
+                rate=overload_rate, timeout_s=300,
             )
         finally:
             await asyncio.gather(stop(t1), stop(t4))
@@ -851,17 +502,10 @@ def _frontend_load(config: BenchConfig) -> dict[str, dict[str, Any]]:
             "cpu_count": os.cpu_count(),
             "calibrated_latency_ms": round(mean_lat * 1e3, 3),
             "nominal_rate_rps": round(nominal_rate, 2),
-            "cmp_rate_rps": round(cmp_rate, 2),
             "overload_rate_rps": round(overload_rate, 2),
             "nominal": nominal.to_json(),
-            "cmp_1shard": cmp1.to_json(),
-            "cmp_4shard": cmp4.to_json(),
             "overload": overload.to_json(),
         }
-        ratio = (
-            cmp4.goodput_rps / cmp1.goodput_rps
-            if cmp1.goodput_rps > 0 else float("inf")
-        )
         return {
             "frontend.warm_errors": _count(
                 warm_errors, "requests", details=details),
@@ -878,67 +522,46 @@ def _frontend_load(config: BenchConfig) -> dict[str, dict[str, Any]]:
                 0 if overload.shed > 0 else 1, "flag", details=details),
             "frontend.overload_unstructured_errors": _count(
                 overload.errors, "requests", details=details),
-            "frontend.nominal_goodput_rps": _timing(
-                nominal.goodput_rps, "rps", higher_is_better=True,
-                details=details),
-            "frontend.shard_goodput_ratio": _timing(
-                ratio, "x", higher_is_better=True, details=details),
-            "frontend.overload_admitted_p99_ms": _timing(
-                overload.latency_ms(0.99), "ms", higher_is_better=False,
-                details=details),
         }
 
     return asyncio.run(bench())
 
 
-def build_cases(config: BenchConfig) -> list[BenchCase]:
-    """The suite, optionally filtered by ``config.only`` (substring)."""
+def build_cases(only: str | None = None) -> list[BenchCase]:
+    """The suite, optionally filtered by *only* (a name substring)."""
     cases = [
-        BenchCase("engine_throughput", _engine_throughput,
-                  "exact per-trial fast-engine throughput"),
-        BenchCase("batched_throughput", _batched_throughput,
-                  "disjoint-union batched throughput"),
-        BenchCase("shm_transport", _shm_transport,
-                  "zero-copy graph transport bytes and attach latency"),
-        BenchCase("service_latency", _service_latency,
-                  "service submit→complete latency percentiles"),
-        BenchCase("cache_speedup", _cache_speedup,
-                  "result-cache warm vs cold speedup"),
         BenchCase("sequential_stopping", _sequential_stopping,
                   "precision-request evidence reuse and realized trials"),
         BenchCase("remote_telemetry", _remote_telemetry,
                   "cross-process telemetry merge completeness"),
-        BenchCase("profiled_run", _profiled_run,
-                  "per-phase profile of one FAIRTREE run"),
         BenchCase("graph_build", _graph_build,
-                  "array-native construction speedup + hash equivalence"),
+                  "array-native construction hash equivalence"),
         BenchCase("graph_load", _graph_load,
-                  "memmap open latency + on-disk round-trip equivalence"),
+                  "on-disk round-trip equivalence"),
         BenchCase("faithful_counts", _faithful_counts,
-                  "faithful-engine rounds/messages (deterministic)"),
+                  "faithful-engine rounds/messages"),
         BenchCase("fast_counts", _fast_counts,
-                  "fast-engine iteration counts (deterministic)"),
+                  "fast-engine iteration counts"),
         BenchCase("frontend", _frontend_load,
                   "sharded front end: warm routing, admission, overload"),
     ]
-    if config.only:
-        needle = config.only.lower()
+    if only:
+        needle = only.lower()
         cases = [c for c in cases if needle in c.name.lower()]
     return cases
 
 
 def run_suite(
-    config: BenchConfig,
-    progress: Callable[[str], None] | None = None,
     cases: Iterable[BenchCase] | None = None,
+    progress: Callable[[str], None] | None = None,
 ) -> dict[str, dict[str, Any]]:
     """Execute the suite; returns ``{metric_name: entry}`` for the artifact."""
     metrics: dict[str, dict[str, Any]] = {}
-    for case in cases if cases is not None else build_cases(config):
+    for case in cases if cases is not None else build_cases():
         if progress is not None:
             progress(f"bench: {case.name} ({case.description})")
         started = time.perf_counter()
-        produced = case.fn(config)
+        produced = case.fn()
         elapsed = time.perf_counter() - started
         for name, entry in produced.items():
             if name in metrics:

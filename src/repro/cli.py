@@ -13,8 +13,9 @@ Commands
 ``explain``   render a request's convergence trace (why it stopped)
 ``evidence``  introspect/purge the cache's pooled evidence plane
 ``health``    evaluate SLO health rules; exit 0 ok / 1 warn / 2 crit
-``bench``     continuous benchmark suite → ``BENCH_<sha>.json`` artifact
-              (``bench trend`` aggregates a directory of artifacts)
+``bench``     deterministic count suite → ``BENCH_<sha>.json`` artifact,
+              gated against a baseline with ``--compare``
+``loadgen``   open-loop load on a ``serve --tcp`` front end; reports counts
 ``graph``     convert/inspect on-disk graphs (``.npz``/``.reprograph``/SNAP)
 ``table1``    regenerate Table I
 ``figure4``   regenerate Figure 4 (ASCII CDF panels)
@@ -521,7 +522,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
                 port,
                 requests,
                 rate=args.rate,
-                slo_ms=args.slo_ms,
                 timeout_s=args.timeout,
             )
         )
@@ -1053,9 +1053,8 @@ def _cmd_top(args: argparse.Namespace) -> None:
 
 
 def _cmd_bench(args: argparse.Namespace) -> None:
-    """Run the benchmark suite, write the artifact, optionally gate."""
+    """Run the count suite, write the artifact, optionally gate."""
     from .bench import (
-        BenchConfig,
         compare_artifacts,
         default_artifact_path,
         load_artifact,
@@ -1065,8 +1064,7 @@ def _cmd_bench(args: argparse.Namespace) -> None:
     )
     from .bench.suite import build_cases
 
-    config = BenchConfig(quick=args.quick, only=args.only)
-    cases = build_cases(config)
+    cases = build_cases(args.only)
     if args.list:
         for case in cases:
             print(f"{case.name:<22} {case.description}")
@@ -1078,8 +1076,8 @@ def _cmd_bench(args: argparse.Namespace) -> None:
         print(message, file=sys.stderr)
         sys.stderr.flush()
 
-    metrics = run_suite(config, progress=progress, cases=cases)
-    doc = make_artifact(metrics, config.as_dict())
+    metrics = run_suite(cases, progress=progress)
+    doc = make_artifact(metrics)
     out_path = args.out if args.out else default_artifact_path(sha=doc["git_sha"])
     write_artifact(doc, out_path)
     print(f"wrote {out_path} ({len(metrics)} metrics)", file=sys.stderr)
@@ -1091,37 +1089,10 @@ def _cmd_bench(args: argparse.Namespace) -> None:
             baseline = load_artifact(args.compare)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise SystemExit(f"error: cannot load baseline {args.compare}: {exc}")
-        report = compare_artifacts(
-            doc,
-            baseline,
-            tolerance_pct=args.tolerance,
-            strict_timing=args.strict_timing,
-        )
+        report = compare_artifacts(doc, baseline)
         print(report.format())
         if not report.ok:
             raise SystemExit(1)
-
-
-def _cmd_bench_trend(args: argparse.Namespace) -> None:
-    """Aggregate a directory of bench artifacts into a trend report."""
-    from .bench import build_trend, collect_artifacts
-
-    artifacts = collect_artifacts(args.paths)
-    if not artifacts:
-        raise SystemExit(
-            "error: no readable BENCH_*.json artifacts under "
-            + ", ".join(args.paths)
-        )
-    report = build_trend(
-        artifacts,
-        tolerance_pct=args.tolerance,
-        strict_timing=args.strict_timing,
-        only=args.metric or None,
-    )
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.format(markdown=args.format == "md"))
 
 
 def _load_graph_input(args: argparse.Namespace) -> StaticGraph:
@@ -1452,12 +1423,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop offered rate (departures never wait for responses)",
     )
     p.add_argument(
-        "--slo-ms",
-        type=float,
-        default=250.0,
-        help="latency SLO used for goodput and attainment",
-    )
-    p.add_argument(
         "--timeout",
         type=float,
         default=60.0,
@@ -1677,12 +1642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_health)
 
     p = sub.add_parser(
-        "bench", help="continuous benchmark suite -> BENCH_<sha>.json"
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="small deterministic workload (CI smoke scale)",
+        "bench", help="deterministic count suite -> BENCH_<sha>.json"
     )
     p.add_argument(
         "--out",
@@ -1694,19 +1654,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare",
         default=None,
         metavar="BASELINE",
-        help="compare against a baseline artifact; exit 1 on gated regression",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="override every metric's tolerance (percent)",
-    )
-    p.add_argument(
-        "--strict-timing",
-        action="store_true",
-        help="gate timing metrics too (same-machine comparisons only)",
+        help="compare against a baseline artifact made with the same "
+        "--only; exit 1 on any regression",
     )
     p.add_argument(
         "--only",
@@ -1718,47 +1667,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="list bench cases and exit"
     )
     p.set_defaults(fn=_cmd_bench)
-    # `repro bench` with no subcommand keeps its historical flat form;
-    # `repro bench trend` is the artifact-history view.
-    bsub = p.add_subparsers(dest="bench_command", required=False)
-    b = bsub.add_parser(
-        "trend",
-        help="aggregate BENCH_*.json artifacts into a per-metric history",
-    )
-    b.add_argument(
-        "paths",
-        nargs="+",
-        help="artifact files and/or directories holding BENCH_*.json",
-    )
-    b.add_argument(
-        "--metric",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="restrict to this metric (repeatable)",
-    )
-    b.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="override every metric's tolerance for step flagging",
-    )
-    b.add_argument(
-        "--strict-timing",
-        action="store_true",
-        help="flag bad-direction timing steps as gated too",
-    )
-    b.add_argument(
-        "--format",
-        choices=("ansi", "md"),
-        default="ansi",
-        help="table style: fixed-width terminal or GitHub markdown",
-    )
-    b.add_argument(
-        "--json", action="store_true", help="machine-readable trend document"
-    )
-    b.set_defaults(fn=_cmd_bench_trend)
 
     p = sub.add_parser(
         "graph", help="convert/inspect on-disk graphs (.npz/.reprograph/SNAP)"

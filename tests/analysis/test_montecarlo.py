@@ -1,5 +1,9 @@
 """Tests for the Monte-Carlo trial runner (serial and parallel)."""
 
+import signal
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -161,3 +165,36 @@ class TestTrialPool:
         pool.run(16, seed=0)
         pool.close(wait=True)
         assert not any(p.is_alive() for p in procs)
+
+
+def _ignored_signals(pid):
+    with open(f"/proc/{pid}/status") as fh:
+        for line in fh:
+            if line.startswith("SigIgn:"):
+                return int(line.split()[1], 16)
+    return 0
+
+
+class TestWorkerSet:
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/<pid>/status"
+    )
+    def test_workers_ignore_sigint(self):
+        # A terminal Ctrl-C signals the whole process group; the parent
+        # alone must handle it, or its shutdown waits on the workers.
+        from repro.analysis.montecarlo import WorkerSet
+
+        workers = WorkerSet(2)
+        try:
+            pending = {p.pid for p in workers.processes}
+            assert len(pending) == 2
+            bit = 1 << (signal.SIGINT - 1)
+            # spawned workers run the initializer a moment after the set
+            # starts, so poll each one up to a deadline
+            deadline = time.monotonic() + 10.0
+            while pending and time.monotonic() < deadline:
+                pending = {p for p in pending if not _ignored_signals(p) & bit}
+                time.sleep(0.05)
+            assert not pending, f"workers still take SIGINT: {pending}"
+        finally:
+            workers.close()

@@ -4,29 +4,11 @@ from repro.bench.compare import compare_artifacts
 
 
 def _doc(metrics, sha="cafe12"):
-    return {"schema": "repro-bench/1", "git_sha": sha, "metrics": metrics}
+    return {"schema": "repro-bench/2", "git_sha": sha, "metrics": metrics}
 
 
-def _count(value, gate=True, tolerance=0.0):
-    return {
-        "value": value,
-        "unit": "rounds",
-        "kind": "count",
-        "higher_is_better": False,
-        "gate": gate,
-        "tolerance_pct": tolerance,
-    }
-
-
-def _timing(value, higher_is_better=True, tolerance=25.0):
-    return {
-        "value": value,
-        "unit": "trials/s",
-        "kind": "timing",
-        "higher_is_better": higher_is_better,
-        "gate": False,
-        "tolerance_pct": tolerance,
-    }
+def _count(value, tolerance=0.0):
+    return {"value": value, "unit": "rounds", "tolerance_pct": tolerance}
 
 
 class TestCountGating:
@@ -42,7 +24,7 @@ class TestCountGating:
             _doc({"m": _count(8)}), _doc({"m": _count(7)})
         )
         assert not report.ok
-        assert report.gating_failures[0].name == "m"
+        assert report.regressions[0].name == "m"
 
     def test_deviation_in_either_direction_gates(self):
         report = compare_artifacts(
@@ -50,61 +32,17 @@ class TestCountGating:
         )
         assert not report.ok
 
-    def test_ungated_count_reports_only(self):
-        report = compare_artifacts(
-            _doc({"m": _count(8, gate=False)}), _doc({"m": _count(7, gate=False)})
+    def test_entry_tolerance_allows_drift(self):
+        within = compare_artifacts(
+            _doc({"m": _count(110, tolerance=10.0)}),
+            _doc({"m": _count(100, tolerance=10.0)}),
         )
-        assert report.ok
-        assert report.rows[0].regressed
-
-    def test_tolerance_override_allows_drift(self):
-        report = compare_artifacts(
-            _doc({"m": _count(102)}), _doc({"m": _count(100)}),
-            tolerance_pct=5.0,
+        assert within.ok
+        beyond = compare_artifacts(
+            _doc({"m": _count(89, tolerance=10.0)}),
+            _doc({"m": _count(100, tolerance=10.0)}),
         )
-        assert report.ok
-
-
-class TestTimingGating:
-    def test_bad_direction_not_gated_by_default(self):
-        report = compare_artifacts(
-            _doc({"t": _timing(50.0)}), _doc({"t": _timing(100.0)})
-        )
-        assert report.ok  # -50% throughput, but timing is advisory
-        assert report.rows[0].regressed
-
-    def test_strict_timing_gates(self):
-        report = compare_artifacts(
-            _doc({"t": _timing(50.0)}),
-            _doc({"t": _timing(100.0)}),
-            strict_timing=True,
-        )
-        assert not report.ok
-
-    def test_good_direction_never_regresses(self):
-        report = compare_artifacts(
-            _doc({"t": _timing(200.0)}),
-            _doc({"t": _timing(100.0)}),
-            strict_timing=True,
-        )
-        assert report.ok
-        assert not report.rows[0].regressed
-
-    def test_lower_is_better_respected(self):
-        latency = _timing(20.0, higher_is_better=False)
-        base = _timing(10.0, higher_is_better=False)
-        report = compare_artifacts(
-            _doc({"lat": latency}), _doc({"lat": base}), strict_timing=True
-        )
-        assert not report.ok
-
-    def test_within_tolerance_ok(self):
-        report = compare_artifacts(
-            _doc({"t": _timing(90.0)}),
-            _doc({"t": _timing(100.0)}),
-            strict_timing=True,
-        )
-        assert report.ok  # -10% within the 25% timing tolerance
+        assert not beyond.ok
 
 
 class TestZeroBaseline:
@@ -115,7 +53,7 @@ class TestZeroBaseline:
         row = report.rows[0]
         assert row.delta_pct is None  # no inf/JSON-illegal percentage
         assert row.note == "new from zero"
-        assert row.regressed and row.gated
+        assert row.regressed
         assert not report.ok
 
     def test_zero_to_zero_is_ok(self):
@@ -130,25 +68,10 @@ class TestZeroBaseline:
         # A nonzero-from-zero count is a behavioural change no matter
         # how generous the tolerance — there is no percentage to test.
         report = compare_artifacts(
-            _doc({"m": _count(1)}), _doc({"m": _count(0)}),
-            tolerance_pct=1000.0,
+            _doc({"m": _count(1, tolerance=1000.0)}),
+            _doc({"m": _count(0, tolerance=1000.0)}),
         )
         assert not report.ok
-
-    def test_timing_from_zero_judged_by_direction(self):
-        up_good = compare_artifacts(
-            _doc({"t": _timing(50.0, higher_is_better=True)}),
-            _doc({"t": _timing(0.0, higher_is_better=True)}),
-            strict_timing=True,
-        )
-        assert up_good.ok
-        assert up_good.rows[0].note == "new from zero"
-        up_bad = compare_artifacts(
-            _doc({"t": _timing(50.0, higher_is_better=False)}),
-            _doc({"t": _timing(0.0, higher_is_better=False)}),
-            strict_timing=True,
-        )
-        assert not up_bad.ok
 
     def test_format_renders_dash_for_undefined_delta(self):
         report = compare_artifacts(
@@ -156,17 +79,19 @@ class TestZeroBaseline:
         )
         lines = report.format().splitlines()
         row = next(ln for ln in lines if "[new from zero]" in ln)
-        # columns: name kind baseline current delta verdict...
-        assert row.split()[4] == "-"
+        # columns: name baseline current delta verdict...
+        assert row.split()[3] == "-"
 
 
 class TestMissingMetrics:
-    def test_missing_sides_reported_not_gated(self):
+    def test_missing_sides_regress(self):
+        # A gate that vanishes from the suite, or one the baseline lacks,
+        # fails the comparison.
         report = compare_artifacts(
             _doc({"new": _count(1)}), _doc({"old": _count(2)})
         )
-        assert report.ok
-        notes = {r.name: r.note for r in report.rows}
+        assert not report.ok
+        notes = {r.name: r.note for r in report.regressions}
         assert notes["new"] == "missing in baseline"
         assert notes["old"] == "missing in current"
 
@@ -180,8 +105,8 @@ class TestFormat:
         text = report.format()
         assert "bbb222" in text and "aaa111" in text
         assert "REGRESSED" in text
-        assert "FAIL: 1 gated metric(s)" in text
+        assert "FAIL: 1 metric(s) regressed" in text
 
     def test_clean_report_says_ok(self):
         report = compare_artifacts(_doc({"m": _count(7)}), _doc({"m": _count(7)}))
-        assert "no gated regressions" in report.format()
+        assert "1 metric(s) compared, no regressions" in report.format()

@@ -243,9 +243,7 @@ class TestEndToEnd:
                 }
                 for _ in range(10)
             ]
-            report = await run_loadgen(
-                "127.0.0.1", port, requests, rate=50.0, slo_ms=5000.0
-            )
+            report = await run_loadgen("127.0.0.1", port, requests, rate=50.0)
             assert isinstance(report, LoadReport)
             assert report.offered == 10
             assert report.ok == 10
