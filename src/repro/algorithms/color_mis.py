@@ -46,7 +46,7 @@ from .coloring import (
     greedy_budget_iterations,
     hpartition_classes,
 )
-from .fair_bipart import default_block_gamma
+from .fair_bipart import check_block_params, default_block_gamma
 from .finalize import FINALIZE_FIXED_ROUNDS, FinalizeTail
 
 __all__ = ["ColorMIS", "ColorMISProcess"]
@@ -172,6 +172,7 @@ class ColorMIS(ProtocolAlgorithm):
         super().__init__(**kwargs)
         if coloring not in ("greedy", "arboricity"):
             raise ValueError(f"unknown coloring kind {coloring!r}")
+        check_block_params(gamma, p)
         self.coloring = coloring
         self.k = k
         self.gamma_c = gamma_c

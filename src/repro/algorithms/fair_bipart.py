@@ -43,7 +43,12 @@ from .construct_block import (
 )
 from .finalize import FINALIZE_FIXED_ROUNDS, FinalizeTail
 
-__all__ = ["FairBipart", "FairBipartProcess", "default_block_gamma"]
+__all__ = [
+    "FairBipart",
+    "FairBipartProcess",
+    "check_block_params",
+    "default_block_gamma",
+]
 
 
 def default_block_gamma(n: int, c: float = 2.0) -> int:
@@ -51,6 +56,18 @@ def default_block_gamma(n: int, c: float = 2.0) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return max(1, math.ceil(c * math.log2(max(n, 2))))
+
+
+def check_block_params(gamma: int | None, p: float) -> None:
+    """Reject Construct_Block parameters outside the model.
+
+    ``π`` is a geometric distribution only for ``0 < p < 1``, and a block
+    needs a radius budget ``γ >= 1``; ``gamma=None`` (size-derived) passes.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    if gamma is not None and gamma < 1:
+        raise ValueError(f"gamma must be >= 1, got {gamma!r}")
 
 
 class FairBipartProcess(StagedProcess):
@@ -133,6 +150,7 @@ class FairBipart(ProtocolAlgorithm):
         **kwargs: Any,
     ) -> None:
         super().__init__(**kwargs)
+        check_block_params(gamma, p)
         self.gamma_c = gamma_c
         self.gamma = gamma
         self.p = p

@@ -1,12 +1,16 @@
 """Vectorized Linial–Saks ``Construct_Block`` (§VI-A) and the block-based
 algorithms FAIRBIPART and COLORMIS on top of it.
 
-Leader tables are a dense ``(n, γ+1)`` int64 matrix of packed
+The leader table is a dense ``(R+1, n)`` int64 matrix of packed
 ``id·base + value`` keys (``base = 2`` for parity bits, ``base = k`` for
-colors); one superround is a single ``np.maximum.at`` scatter of the
-shifted table slice over the symmetric edge list — ``O(γ·m)`` work per
-superround, ``O(γ²·m)`` per call, matching the faithful engine's
-``O(log² n)`` round structure.
+colors), where ``R ≤ γ`` is the largest radius drawn; row ``j`` is the
+column ``L[j]`` of every node's table.  At the fixed point of the
+faithful engine's superrounds, ``L[j]`` is the maximum of a node's own
+entry and its neighbours' ``L[j+1]`` (parity bit flipped in bit mode),
+and ``L[R]`` holds only initial entries.  So one top-down pass, one
+``np.maximum.at`` scatter over the symmetric edge list per column,
+computes every column once: a call costs ``O(R·m)`` numpy work, not the
+``O(γ²·m)`` of replaying all γ superrounds.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import numpy as np
 from ..core.registry import register
 from ..core.result import MISResult
 from ..graphs.graph import StaticGraph
-from ..algorithms.fair_bipart import default_block_gamma
+from ..algorithms.fair_bipart import check_block_params, default_block_gamma
+from ..obs.profile import current_profiler
 from .engine import neighbor_any, neighbor_count
 from .luby import luby_sweep
 
@@ -40,6 +45,7 @@ def draw_radii(
 
     ``Pr[r >= k] = p^k`` for ``k <= γ``, so ``r = min(γ, floor(log_p U))``.
     """
+    check_block_params(gamma, p)
     u = np.maximum(rng.random(n), 1e-300)  # guard log(0)
     raw = np.floor(np.log(u) / np.log(p))
     return np.minimum(raw.astype(np.int64), gamma)
@@ -59,7 +65,8 @@ def construct_block_fast(
     Parameters
     ----------
     values:
-        Per-node candidate-leader value (random bit or random color).
+        Per-node candidate-leader value (random bit or random color), in
+        ``[0, value_base)``.
     mode:
         ``"bit"`` (parity-flip per hop) or ``"color"`` (unchanged).
     value_base:
@@ -70,44 +77,40 @@ def construct_block_fast(
     """
     if mode not in ("bit", "color"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "bit" and value_base != 2:
+        raise ValueError(f"bit mode needs value_base 2, got {value_base}")
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and (values.min() < 0 or values.max() >= value_base):
+        raise ValueError(f"values must lie in [0, {value_base})")
     n = graph.n
     es, ed = graph.edge_src, graph.edge_dst
     radii = draw_radii(rng, n, gamma, p)
+    top = int(radii.max()) if n else 0
 
-    # key = id * base + value ; -1 = empty entry
-    table = np.full((n, gamma + 1), -1, dtype=np.int64)
+    # table[j, v] = largest key id·base + value v holds with j range left;
+    # -1 = empty.  Row `top` holds only own entries; each lower row is its
+    # own entries maxed with the neighbours' row above.
+    table = np.full((top + 1, n), -1, dtype=np.int64)
     ids = np.arange(n, dtype=np.int64)
-    table[ids, radii] = ids * value_base + values
-
-    if es.size:
-        col_base = ed[:, None] * (gamma + 1)  # flattened row offsets
-        dst_idx = (col_base + np.arange(gamma, dtype=np.int64)[None, :]).ravel()
-    for _ in range(gamma):
-        if es.size == 0:
-            break
-        src = table[es][:, 1:]  # entries at index 1..γ, shifted to 0..γ-1
+    table[radii, ids] = ids * value_base + values
+    for j in range(top - 1, -1, -1):
+        sent = table[j + 1][es]
         if mode == "bit":
-            # flip the parity bit of non-empty entries
-            flipped = (src // value_base) * value_base + (
-                (value_base - 1) - (src % value_base)
-            )
-            src = np.where(src >= 0, flipped, np.int64(-1))
-        flat = table.ravel()
-        np.maximum.at(flat, dst_idx, src.ravel())
-        table = flat.reshape(n, gamma + 1)
+            sent ^= 1  # parity flip; an empty -1 becomes -2, below the fill
+        np.maximum.at(table[j], ed, sent)
+    prof = current_profiler()
+    if prof is not None:
+        prof.count("blocks.columns", top)
 
-    best = table.max(axis=1)
-    leader = np.where(best >= 0, best // value_base, np.int64(-1))
-    # highest index holding the leader's id = true-distance entry
-    is_best = (table // value_base) == leader[:, None]
-    is_best &= table >= 0
-    rev_top = np.argmax(is_best[:, ::-1], axis=1)
-    top_idx = gamma - rev_top
-    has_any = is_best.any(axis=1)
-    in_block = has_any & (top_idx > 0)
-    leader_value = np.where(
-        in_block, table[ids, np.clip(top_idx, 0, gamma)] % value_base, np.int64(-1)
-    )
+    # Every node holds its own entry, so its leader is the largest id in
+    # its table.  Its keys are the ones >= leader·base, and the highest
+    # index holding one is the true-distance entry.
+    leader = table.max(axis=0) // value_base
+    floor = leader * value_base
+    rows = np.arange(top + 1, dtype=np.int64)[:, None]
+    top_idx = ((table >= floor) * rows).max(axis=0)
+    in_block = top_idx > 0
+    leader_value = np.where(in_block, table[top_idx, ids] - floor, np.int64(-1))
     return in_block, leader, leader_value
 
 
@@ -168,6 +171,7 @@ class FastFairBipart:
         p: float = 0.5,
         validate: bool = False,
     ) -> None:
+        check_block_params(gamma, p)
         self.gamma_c = gamma_c
         self.gamma = gamma
         self.p = p
@@ -337,6 +341,7 @@ class FastColorMIS:
     ) -> None:
         if coloring not in ("greedy", "arboricity"):
             raise ValueError(f"unknown coloring kind {coloring!r}")
+        check_block_params(gamma, p)
         self.k = k
         self.coloring = coloring
         self.gamma_c = gamma_c

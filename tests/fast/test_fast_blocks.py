@@ -1,9 +1,22 @@
 """Tests for the vectorized Construct_Block, FAIRBIPART, and COLORMIS."""
 
+import copy
+import io
+import json
+
 import numpy as np
 import pytest
 
+import repro.fast.blocks as blocks
+from repro.algorithms import ColorMIS, FairBipart
+from repro.algorithms.fair_bipart import default_block_gamma
 from repro.analysis import is_maximal_independent_set, run_trials
+from repro.cli import _service_loop
+from repro.fast.batched import (
+    batched_color_mis_trials,
+    batched_fair_bipart_trials,
+    disjoint_power,
+)
 from repro.fast.blocks import (
     FastColorMIS,
     FastFairBipart,
@@ -14,6 +27,7 @@ from repro.fast.blocks import (
 from repro.graphs.generators import (
     complete_bipartite,
     cycle_graph,
+    empty_graph,
     grid_graph,
     path_graph,
     random_bipartite,
@@ -21,6 +35,130 @@ from repro.graphs.generators import (
     star_graph,
     triangulated_grid,
 )
+from repro.obs.profile import use_profiler
+
+
+def construct_block_reference(
+    graph, rng, gamma, values, mode, value_base, p=0.5
+):
+    """The full-budget schedule: γ superrounds, each scattering every
+    column of the ``(n, γ+1)`` leader table one hop."""
+    if mode not in ("bit", "color"):
+        raise ValueError(f"unknown mode {mode!r}")
+    n = graph.n
+    es, ed = graph.edge_src, graph.edge_dst
+    radii = draw_radii(rng, n, gamma, p)
+
+    # key = id * base + value ; -1 = empty entry
+    table = np.full((n, gamma + 1), -1, dtype=np.int64)
+    ids = np.arange(n, dtype=np.int64)
+    table[ids, radii] = ids * value_base + values
+
+    if es.size:
+        col_base = ed[:, None] * (gamma + 1)  # flattened row offsets
+        dst_idx = (col_base + np.arange(gamma, dtype=np.int64)[None, :]).ravel()
+    for _ in range(gamma):
+        if es.size == 0:
+            break
+        src = table[es][:, 1:]  # entries at index 1..γ, shifted to 0..γ-1
+        if mode == "bit":
+            # flip the parity bit of non-empty entries
+            flipped = (src // value_base) * value_base + (
+                (value_base - 1) - (src % value_base)
+            )
+            src = np.where(src >= 0, flipped, np.int64(-1))
+        flat = table.ravel()
+        np.maximum.at(flat, dst_idx, src.ravel())
+        table = flat.reshape(n, gamma + 1)
+
+    best = table.max(axis=1)
+    leader = np.where(best >= 0, best // value_base, np.int64(-1))
+    # highest index holding the leader's id = true-distance entry
+    is_best = (table // value_base) == leader[:, None]
+    is_best &= table >= 0
+    rev_top = np.argmax(is_best[:, ::-1], axis=1)
+    top_idx = gamma - rev_top
+    has_any = is_best.any(axis=1)
+    in_block = has_any & (top_idx > 0)
+    leader_value = np.where(
+        in_block, table[ids, np.clip(top_idx, 0, gamma)] % value_base, np.int64(-1)
+    )
+    return in_block, leader, leader_value
+
+
+def bfs_distances(graph):
+    """``dist[u, v]``: hop distance, -1 between components."""
+    n = graph.n
+    return np.array([graph.bfs_levels([u]) for u in range(n)]).reshape(n, n)
+
+
+def construct_block_spec(dist, radii, values, mode):
+    """Construct_Block from its definition, by BFS distances ``d``.
+
+    A node's leader is the largest id ``u`` with ``d(u, v) <= r_u``; it is
+    a block member iff ``d(leader, v) < r_leader``, and reads the leader's
+    bit flipped ``d`` times (bit mode) or its value unchanged (color mode).
+    """
+    n = dist.shape[0]
+    in_block = np.zeros(n, dtype=bool)
+    leader = np.full(n, -1, dtype=np.int64)
+    leader_value = np.full(n, -1, dtype=np.int64)
+    for v in range(n):
+        reach = (dist[:, v] >= 0) & (dist[:, v] <= radii)
+        u = int(np.flatnonzero(reach).max())
+        d = int(dist[u, v])
+        leader[v] = u
+        if d < radii[u]:
+            in_block[v] = True
+            leader_value[v] = values[u] ^ (d % 2) if mode == "bit" else values[u]
+    return in_block, leader, leader_value
+
+
+BLOCK_KINDS = (
+    "tree",
+    "path",
+    "grid",
+    "bipartite",
+    "odd_cycle",
+    "triangulated",
+    "star",
+    "edgeless",
+)
+
+
+def _block_graphs(kind):
+    if kind == "tree":
+        return [random_tree(n, seed=s).graph for s, n in enumerate((2, 16, 60))]
+    if kind == "path":
+        return [path_graph(n) for n in (1, 9, 33)]
+    if kind == "grid":
+        return [grid_graph(r, c) for r, c in ((3, 4), (5, 7))]
+    if kind == "bipartite":
+        shapes = ((5, 6, 0.3), (10, 12, 0.15))
+        return [random_bipartite(a, b, q, seed=s) for s, (a, b, q) in enumerate(shapes)]
+    if kind == "odd_cycle":
+        return [cycle_graph(n) for n in (3, 9, 13)]
+    if kind == "triangulated":
+        return [triangulated_grid(r, c) for r, c in ((3, 3), (4, 5))]
+    if kind == "star":
+        return [star_graph(9)]
+    return [empty_graph(n) for n in (0, 1, 7)]
+
+
+def _block_cases(kind, copies_options=(1, 64)):
+    """``(graph, gamma, mode, base, values, seed)`` over one kind's sweep."""
+    sweep_rng = np.random.default_rng(BLOCK_KINDS.index(kind))
+    for base_graph in _block_graphs(kind):
+        default = default_block_gamma(max(base_graph.n, 1))
+        for copies in copies_options:
+            g = disjoint_power(base_graph, copies) if copies > 1 else base_graph
+            for gamma in (1, 3, default, 20):
+                for mode in ("bit", "color"):
+                    base = 2 if mode == "bit" else base_graph.max_degree + 1
+                    for _ in range(2):
+                        values = sweep_rng.integers(0, base, size=g.n)
+                        seed = int(sweep_rng.integers(1 << 32))
+                        yield g, gamma, mode, base, values, seed
 
 
 class TestDrawRadii:
@@ -103,6 +241,131 @@ class TestConstructBlock:
                 mode="x",
                 value_base=2,
             )
+
+
+class TestColumnPassMatchesSuperrounds:
+    """One top-down pass over the leader table's columns must give the
+    table the γ-superround schedule reaches, and draw the same random
+    numbers."""
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    def test_sweep_matches_reference(self, kind):
+        for g, gamma, mode, base, values, seed in _block_cases(kind):
+            rng_new = np.random.default_rng(seed)
+            rng_ref = np.random.default_rng(seed)
+            got = construct_block_fast(g, rng_new, gamma, values, mode, base)
+            want = construct_block_reference(g, rng_ref, gamma, values, mode, base)
+            case = (kind, g.n, gamma, mode, base, seed)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), case
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state, case
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    def test_sweep_matches_definition(self, kind):
+        last = None
+        for g, gamma, mode, base, values, seed in _block_cases(kind, (1, 3)):
+            if g is not last:  # a graph's cases come in one run
+                last, dist = g, bfs_distances(g)
+            rng = np.random.default_rng(seed)
+            radii = draw_radii(copy.deepcopy(rng), g.n, gamma)
+            got = construct_block_fast(g, rng, gamma, values, mode, base)
+            want = construct_block_spec(dist, radii, values, mode)
+            case = (kind, g.n, gamma, mode, base, seed)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), case
+
+    def test_counts_unchanged(self, monkeypatch):
+        graphs = [random_tree(30, seed=1).graph, grid_graph(4, 5), cycle_graph(9)]
+
+        def counts():
+            out = []
+            for seed, g in enumerate(graphs):
+                for alg in (FastFairBipart(), FastColorMIS()):
+                    out.append(run_trials(alg, g, 30, seed=seed).counts)
+                out.append(batched_fair_bipart_trials(g, 70, seed=seed).counts)
+                out.append(batched_color_mis_trials(g, 70, seed=seed).counts)
+            return out
+
+        got = counts()
+        monkeypatch.setattr(blocks, "construct_block_fast", construct_block_reference)
+        want = counts()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode, base", [("bit", 2), ("color", 5)])
+    def test_profiler_counts_columns(self, mode, base):
+        """``blocks.columns`` adds the largest radius drawn, once per call."""
+        g = disjoint_power(random_tree(40, seed=3).graph, 16)
+        gamma = default_block_gamma(40)
+        values = np.random.default_rng(0).integers(0, base, size=g.n)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            top = int(draw_radii(copy.deepcopy(rng), g.n, gamma).max())
+            with use_profiler() as prof:
+                construct_block_fast(g, rng, gamma, values, mode, base)
+            assert prof.report()["counts"]["blocks.columns"] == top
+
+
+BLOCK_CLASSES = (FairBipart, ColorMIS, FastFairBipart, FastColorMIS)
+
+
+class TestBlockParameterChecks:
+    @pytest.mark.parametrize("cls", BLOCK_CLASSES)
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_p_outside_unit_interval_rejected(self, cls, p):
+        with pytest.raises(ValueError, match="p must lie in"):
+            cls(p=p)
+
+    @pytest.mark.parametrize("cls", BLOCK_CLASSES)
+    @pytest.mark.parametrize("gamma", [0, -3])
+    def test_gamma_below_one_rejected(self, cls, gamma):
+        with pytest.raises(ValueError, match="gamma must be >= 1"):
+            cls(gamma=gamma)
+
+    @pytest.mark.parametrize("cls", BLOCK_CLASSES)
+    def test_in_range_accepted(self, cls):
+        alg = cls(gamma=1, p=0.25)
+        assert (alg.gamma, alg.p) == (1, 0.25)
+
+    @pytest.mark.parametrize("gamma, p", [(0, 0.5), (-1, 0.5), (4, 1.0), (4, 0.0)])
+    def test_draw_radii_guards(self, gamma, p):
+        with pytest.raises(ValueError):
+            draw_radii(np.random.default_rng(0), 10, gamma, p)
+
+    @pytest.mark.parametrize(
+        "values, mode, base",
+        [([0, 1, 2], "bit", 2), ([0, -1, 1], "bit", 2), ([0, 3, 1], "color", 3)],
+    )
+    def test_values_outside_base_rejected(self, values, mode, base):
+        with pytest.raises(ValueError, match="values must lie in"):
+            construct_block_fast(
+                path_graph(3), np.random.default_rng(0), 2, values, mode, base
+            )
+
+    def test_bit_mode_needs_base_two(self):
+        with pytest.raises(ValueError, match="value_base 2"):
+            construct_block_fast(
+                path_graph(3), np.random.default_rng(0), 2, [0, 1, 2], "bit", 3
+            )
+
+    def test_served_line_fails_at_submit(self, capsys):
+        line = json.dumps(
+            {
+                "graph": "tree:30:1",
+                "algorithm": "fair_bipart_fast",
+                "trials": 64,
+                "seed": 0,
+                "params": {"p": 1.0},
+            }
+        )
+        out = io.StringIO()
+        errors = _service_loop(
+            [line], out, jobs=1, cache_size=8, mode="auto", include_counts=False
+        )
+        assert errors == 1
+        payload = json.loads(out.getvalue())
+        assert "p must lie in (0, 1)" in payload["error"], payload
+        assert "0 trials executed" in capsys.readouterr().err
 
 
 class TestFastFairBipart:
