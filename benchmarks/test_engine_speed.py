@@ -172,13 +172,20 @@ def test_observability_overhead_under_five_percent():
 def test_telemetry_plane_overhead_under_five_percent():
     """The full cross-process plane stays within 5% of a bare chunk.
 
-    ``run_chunk_with_telemetry`` is everything a worker pays per chunk:
-    trace re-entry, a fresh delta registry, span capture, the phase
-    profiler, the chunk-summary histograms, and the final snapshot.
-    The per-chunk part is fixed (~0.1 ms); the per-trial part is the
-    profiler's sweep hooks, so the gate runs at representative graph
-    scale (n=1000 — the paper's evaluation trees) where a trial does
-    enough kernel work to amortize them.
+    The instrumented side is both halves of the plane.  The worker half,
+    ``run_chunk_with_telemetry``, re-enters the trace, binds a fresh
+    delta registry, captures spans, runs the phase profiler, records the
+    chunk-summary histograms and exports the delta.  The parent half,
+    ``RemoteTelemetry.absorb``, merges that export into a registry and
+    forwards the span records.  The per-chunk part is fixed: about
+    0.3 ms of CPU for both halves together, 0.23-0.26 ms in the worker
+    and 0.05-0.08 ms in the parent (median over 400 one-trial chunks on
+    a 2-vCPU x86-64 Linux host, absorbed into a resident registry; each
+    sample here absorbs into a fresh one, which also pays for creating
+    its families).  The per-trial part is the profiler's
+    sweep hooks, so the gate runs at representative graph scale
+    (n=1000 — the paper's evaluation trees) where a trial does enough
+    kernel work to amortize them.
 
     Methodology differs from the wall-clock bound above because the
     effect being certified is smaller than shared-runner wall-clock
@@ -195,7 +202,9 @@ def test_telemetry_plane_overhead_under_five_percent():
     import time
 
     from repro.analysis.montecarlo import chunk_counts
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.remote import (
+        RemoteTelemetry,
         TraceContext,
         new_chunk_id,
         run_chunk_with_telemetry,
@@ -211,12 +220,14 @@ def test_telemetry_plane_overhead_under_five_percent():
         chunk_counts(alg, graph, seeds)
 
     def instrumented() -> None:
-        run_chunk_with_telemetry(
-            lambda: chunk_counts(alg, graph, seeds),
-            ctx,
-            new_chunk_id(),
-            algorithm=alg.name,
-            trials=len(seeds),
+        RemoteTelemetry(MetricsRegistry()).absorb(
+            run_chunk_with_telemetry(
+                lambda: chunk_counts(alg, graph, seeds),
+                ctx,
+                new_chunk_id(),
+                algorithm=alg.name,
+                trials=len(seeds),
+            )
         )
 
     def window(samples: int = 10) -> float:

@@ -245,7 +245,8 @@ def _service_loop(
         error_payload,
         parse_request_line,
     )
-    from .service import Estimator
+    from .obs.dashboard import snapshot_from_registry
+    from .service import Estimator, InvalidRequest
 
     errors = 0
     served = 0
@@ -279,7 +280,9 @@ def _service_loop(
                 except Exception as exc:  # noqa: BLE001 - reported per request
                     errors += 1
                     payload = error_payload(
-                        "internal",
+                        "bad_request"
+                        if isinstance(exc, InvalidRequest)
+                        else "internal",
                         str(exc),
                         version=parsed.version,
                         line=lineno,
@@ -289,16 +292,10 @@ def _service_loop(
             out.flush()
             served += 1
             if stats_every and served % stats_every == 0:
-                import time as _time
-
-                snapshot = {
-                    "event": "stats",
-                    "ts": _time.time(),
-                    "requests_served": served,
-                    "counters": service.counters.snapshot(),
-                    "latency_ms": _latency_summary(service.registry),
-                    "metrics": service.registry.snapshot(),
-                }
+                snapshot = snapshot_from_registry(
+                    service.registry, service.counters, served
+                )
+                snapshot["latency_ms"] = _latency_summary(service.registry)
                 target = stats_stream if stats_stream is not None else sys.stderr
                 target.write(json.dumps(snapshot) + "\n")
                 target.flush()
@@ -637,7 +634,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
             early_ratio = counters["early_stops"] / precision_requests
             looked = counters["evidence_hits"] + counters["evidence_misses"]
             hit_rate = counters["evidence_hits"] / looked if looked else None
-            realized = registry.aggregated_quantiles(
+            realized = registry.quantiles(
                 "service_realized_trials",
                 qs=(0.5, 0.95),
                 drop_labels=("worker", "algorithm"),
@@ -1039,7 +1036,7 @@ def _cmd_top(args: argparse.Namespace) -> None:
         sys.stdout.write(dash.render(ansi=False))
         # Fleet-wide latency with worker/algorithm labels summed away —
         # the aggregate the per-row dashboard view cannot show.
-        fleet = service.registry.aggregated_quantiles(
+        fleet = service.registry.quantiles(
             "service_request_latency_seconds",
             drop_labels=("worker", "algorithm"),
         ).get("", {})

@@ -10,21 +10,21 @@ All rates are *windowed*: the dashboard keeps a short history of
 snapshots and differences the newest against the oldest one inside the
 window, so a burst five minutes ago doesn't pollute the current view.
 Latency percentiles over the window are recomputed from differenced
-cumulative histogram buckets — the same interpolation the registry's
-:meth:`~repro.obs.metrics.Histogram.quantile` uses, applied to the
-window's delta distribution.
+cumulative histogram buckets: :func:`~repro.obs.metrics.merged_buckets`
+reads each snapshot and :func:`~repro.obs.metrics.bucket_quantile` — the
+interpolation behind :meth:`~repro.obs.metrics.Histogram.quantile` and
+``repro health`` — runs over the window's delta distribution.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from collections import deque
-from typing import Any, IO, Iterable, Mapping
+from typing import Any, IO, Mapping
 
-from .health import evaluate_health
-from .metrics import parse_label_key
+from .health import evaluate_health, iter_stats
+from .metrics import bucket_quantile, merged_buckets, parse_label_key
 
 __all__ = ["TopDashboard", "snapshot_from_registry", "run_top"]
 
@@ -74,51 +74,12 @@ def snapshot_from_registry(
     return snapshot
 
 
-def _bucket_pairs(buckets: Mapping[str, Any]) -> list[tuple[float, float]]:
-    """Snapshot bucket dict → sorted ``(bound, cumulative)`` pairs."""
-    pairs: list[tuple[float, float]] = []
-    for text, cum in buckets.items():
-        bound = float("inf") if text == "+Inf" else float(text)
-        pairs.append((bound, float(cum)))
-    pairs.sort(key=lambda p: p[0])
-    return pairs
-
-
 def _delta_buckets(
-    new: Mapping[str, Any], old: Mapping[str, Any] | None
+    new: list[tuple[float, float]], old: list[tuple[float, float]]
 ) -> list[tuple[float, float]]:
     """Windowed cumulative buckets: newest minus oldest-in-window."""
-    pairs = _bucket_pairs(new)
-    if not old:
-        return pairs
-    old_map = dict(_bucket_pairs(old))
-    return [(b, max(0.0, c - old_map.get(b, 0.0))) for b, c in pairs]
-
-
-def _quantile(pairs: list[tuple[float, float]], q: float) -> float | None:
-    """Interpolated quantile over cumulative ``(bound, count)`` pairs.
-
-    Mirrors :meth:`repro.obs.metrics.Histogram.quantile` (uniform mass
-    per bucket, +Inf clamps to the largest finite bound, ``None`` when
-    empty).
-    """
-    if not pairs:
-        return None
-    total = pairs[-1][1]
-    if total <= 0:
-        return None
-    target = q * total
-    prev_bound, prev_cum = 0.0, 0.0
-    for bound, cum in pairs:
-        if cum >= target:
-            if bound == float("inf"):
-                return prev_bound
-            if cum == prev_cum:
-                return bound
-            frac = (target - prev_cum) / (cum - prev_cum)
-            return prev_bound + frac * (bound - prev_bound)
-        prev_bound, prev_cum = bound, cum
-    return prev_bound
+    old_map = dict(old)
+    return [(b, max(0.0, c - old_map.get(b, 0.0))) for b, c in new]
 
 
 def _fraction_over(pairs: list[tuple[float, float]], threshold: float) -> float | None:
@@ -276,17 +237,13 @@ class TopDashboard:
             oldest, "histograms", "service_request_latency_seconds"
         )
         # Collapse algorithm labels into one distribution.
-        merged_new: dict[str, float] = {}
-        merged_old: dict[str, float] = {}
-        for series, merged in ((new_series, merged_new), (old_series, merged_old)):
-            for value in series.values():
-                for bound, cum in value.get("buckets", {}).items():
-                    merged[bound] = merged.get(bound, 0.0) + float(cum)
-        pairs = _delta_buckets(merged_new, merged_old or None)
+        pairs = _delta_buckets(
+            merged_buckets(new_series), merged_buckets(old_series)
+        )
         return {
-            "p50": None if (q := _quantile(pairs, 0.50)) is None else q * 1e3,
-            "p95": None if (q := _quantile(pairs, 0.95)) is None else q * 1e3,
-            "p99": None if (q := _quantile(pairs, 0.99)) is None else q * 1e3,
+            "p50": None if (q := bucket_quantile(pairs, 0.50)) is None else q * 1e3,
+            "p95": None if (q := bucket_quantile(pairs, 0.95)) is None else q * 1e3,
+            "p99": None if (q := bucket_quantile(pairs, 0.99)) is None else q * 1e3,
             "over_slo": _fraction_over(pairs, self.slo_ms / 1e3),
         }
 
@@ -462,19 +419,6 @@ class TopDashboard:
         return (ANSI_REFRESH if ansi else "") + "\n".join(lines) + "\n"
 
 
-def _iter_stats_lines(lines: Iterable[str]) -> Iterable[dict[str, Any]]:
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(obj, dict) and obj.get("event", "stats") == "stats":
-            yield obj
-
-
 def run_top(
     path: str,
     *,
@@ -494,7 +438,7 @@ def run_top(
     stream = out if out is not None else sys.stdout
     dash = TopDashboard(slo_ms=slo_ms, slo_target=slo_target, window_s=window_s)
     with open(path, "r", encoding="utf-8") as fh:
-        for snapshot in _iter_stats_lines(fh):
+        for snapshot in iter_stats(fh):
             dash.update(snapshot)
         if once:
             stream.write(dash.render(ansi=False))
@@ -508,7 +452,7 @@ def run_top(
             if not line:
                 time.sleep(interval)
                 continue
-            for snapshot in _iter_stats_lines([line]):
+            for snapshot in iter_stats([line]):
                 dash.update(snapshot)
                 stream.write(dash.render(ansi=ansi))
                 stream.flush()

@@ -18,14 +18,20 @@ fail on silence.
 ``exit_code`` follows the Nagios convention the CLI exposes —
 ``repro health`` exits 0 (ok) / 1 (warn) / 2 (crit) so CI can gate on
 it directly.  ``repro top`` evaluates the same rules per frame and uses
-the per-rule statuses to highlight unhealthy rows.
+the per-rule statuses to highlight unhealthy rows, and reads stats
+files through the same :func:`iter_stats`.  Latency percentiles come
+from :func:`~repro.obs.metrics.merged_buckets` and
+:func:`~repro.obs.metrics.bucket_quantile`, the interpolation
+``repro stats`` and ``repro top`` use too.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+
+from .metrics import bucket_quantile, merged_buckets
 
 __all__ = [
     "HealthRule",
@@ -34,6 +40,7 @@ __all__ = [
     "STATUSES",
     "default_rules",
     "evaluate_health",
+    "iter_stats",
     "load_stats_snapshot",
 ]
 
@@ -87,50 +94,12 @@ def _ratio(
     return num / den
 
 
-def _merged_buckets(
-    snapshot: Mapping[str, Any], name: str
-) -> list[tuple[float, float]]:
-    """All label series of a histogram summed into one cumulative list."""
-    series = snapshot.get("metrics", {}).get("histograms", {}).get(name, {})
-    merged: dict[float, float] = {}
-    for value in series.values():
-        for text, cum in value.get("buckets", {}).items():
-            bound = float("inf") if text == "+Inf" else float(text)
-            merged[bound] = merged.get(bound, 0.0) + float(cum)
-    return sorted(merged.items())
-
-
-def _quantile(pairs: list[tuple[float, float]], q: float) -> float | None:
-    """Interpolated quantile over cumulative ``(bound, count)`` pairs.
-
-    Same convention as :meth:`repro.obs.metrics.Histogram.quantile`
-    (uniform mass per bucket, +Inf clamps to the largest finite bound).
-    Duplicated rather than imported from the dashboard because the
-    dashboard imports *this* module for row highlighting.
-    """
-    if not pairs:
-        return None
-    total = pairs[-1][1]
-    if total <= 0:
-        return None
-    target = q * total
-    prev_bound, prev_cum = 0.0, 0.0
-    for bound, cum in pairs:
-        if cum >= target:
-            if bound == float("inf"):
-                return prev_bound
-            if cum == prev_cum:
-                return bound
-            frac = (target - prev_cum) / (cum - prev_cum)
-            return prev_bound + frac * (bound - prev_bound)
-        prev_bound, prev_cum = bound, cum
-    return prev_bound
-
-
 def _hist_quantile(
     snapshot: Mapping[str, Any], name: str, q: float, scale: float = 1.0
 ) -> float | None:
-    value = _quantile(_merged_buckets(snapshot, name), q)
+    """*q*-quantile of a histogram with all its label series summed."""
+    series = snapshot.get("metrics", {}).get("histograms", {}).get(name, {})
+    value = bucket_quantile(merged_buckets(series), q)
     return None if value is None else value * scale
 
 
@@ -380,18 +349,28 @@ def evaluate_health(
     return HealthReport(results=tuple(r.evaluate(snapshot) for r in rules))
 
 
+def iter_stats(lines: Iterable[str]) -> Iterator[dict[str, Any]]:
+    """The ``stats`` events among JSON-lines *lines* (a ``--stats-file``).
+
+    Blank lines, lines that are not JSON objects and other events are
+    skipped, so a file being appended to mid-line never raises.
+    """
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(obj, dict) and obj.get("event", "stats") == "stats":
+            yield obj
+
+
 def load_stats_snapshot(path: str) -> dict[str, Any] | None:
     """The last ``stats`` event in a ``--stats-file`` JSONL, or ``None``."""
     last: dict[str, Any] | None = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(obj, dict) and obj.get("event", "stats") == "stats":
-                last = obj
+        for last in iter_stats(fh):
+            pass
     return last

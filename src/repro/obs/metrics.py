@@ -12,7 +12,13 @@ codebase reports through:
 * :class:`MetricFamily` — a named metric with optional Prometheus-style
   labels (``family.labels(algorithm="luby_fast").observe(7)``);
 * :class:`MetricsRegistry` — get-or-create families by name, render the
-  whole registry as Prometheus text exposition or a JSON-safe snapshot.
+  whole registry as Prometheus text exposition or a JSON-safe snapshot,
+  and :meth:`~MetricsRegistry.export` its raw per-series state, which
+  another registry folds in with each metric's ``merge`` (the
+  cross-process telemetry plane's wire, :mod:`repro.obs.remote`);
+* :func:`bucket_quantile` / :func:`merged_buckets` — the one bucket
+  reader and quantile interpolation behind :meth:`Histogram.quantile`,
+  :meth:`MetricsRegistry.quantiles`, ``repro top`` and ``repro health``.
 
 Registry resolution follows a two-level scheme: a process-global default
 registry (:func:`default_registry`) plus a :func:`use_registry` context
@@ -45,6 +51,8 @@ __all__ = [
     "MetricsRegistry",
     "label_key",
     "parse_label_key",
+    "bucket_quantile",
+    "merged_buckets",
     "get_registry",
     "default_registry",
     "use_registry",
@@ -101,13 +109,6 @@ def _fmt_number(value: float) -> str:
     return repr(float(value))
 
 
-def _parse_number(text: str) -> float:
-    """Inverse of :func:`_fmt_number` (``+Inf`` → ``math.inf``)."""
-    if text == "+Inf":
-        return math.inf
-    return float(text)
-
-
 def _escape_label_value(value: str) -> str:
     """Escape a label value per the Prometheus text-format spec.
 
@@ -153,9 +154,11 @@ class Counter:
     def snapshot_value(self) -> float:
         return self._value
 
-    def merge_snapshot_value(self, value: float) -> None:
-        """Fold a worker counter delta in (plain addition)."""
-        self.inc(float(value))
+    state = snapshot_value
+
+    def merge(self, state: float) -> None:
+        """Fold another counter's :meth:`state` in (plain addition)."""
+        self.inc(state)
 
 
 class Gauge:
@@ -189,9 +192,11 @@ class Gauge:
     def snapshot_value(self) -> float:
         return self._value
 
-    def merge_snapshot_value(self, value: float) -> None:
-        """Adopt the most recent reported value (gauges are last-write)."""
-        self.set(float(value))
+    state = snapshot_value
+
+    def merge(self, state: float) -> None:
+        """Adopt another gauge's :meth:`state` (gauges are last-write)."""
+        self.set(state)
 
 
 class Histogram:
@@ -270,35 +275,11 @@ class Histogram:
         return out
 
     def quantile(self, q: float) -> float | None:
-        """Estimate the *q*-quantile by linear interpolation over buckets.
-
-        Uses the Prometheus ``histogram_quantile`` convention: the mass
-        inside each bucket is assumed uniform between the previous upper
-        bound and its own (the first bucket's lower edge is 0, matching
-        the non-negative quantities this registry records).  Observations
-        in the ``+Inf`` bucket clamp to the largest finite bound — a
-        known-floor estimate rather than an invented tail.  Returns
-        ``None`` for an empty histogram (callers render it as ``-``).
-        """
+        """Estimate the *q*-quantile by linear interpolation over buckets
+        (:func:`bucket_quantile`); ``None`` for an empty histogram."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile q must be within [0, 1]")
-        cum = self.cumulative_buckets()
-        total = cum[-1][1]
-        if total == 0:
-            return None
-        target = q * total
-        prev_bound = 0.0
-        prev_cum = 0
-        for bound, c in cum:
-            if c >= target:
-                if bound == math.inf:
-                    return prev_bound
-                if c == prev_cum:
-                    return bound
-                frac = (target - prev_cum) / (c - prev_cum)
-                return prev_bound + frac * (bound - prev_bound)
-            prev_bound, prev_cum = bound, c
-        return prev_bound  # pragma: no cover - cum always reaches total
+        return bucket_quantile(self.cumulative_buckets(), q)
 
     def snapshot_value(self) -> dict[str, Any]:
         buckets = {
@@ -306,38 +287,75 @@ class Histogram:
         }
         return {"count": self._count, "sum": self._sum, "buckets": buckets}
 
-    def merge_snapshot_value(self, snap: Mapping[str, Any]) -> None:
-        """Fold a :meth:`snapshot_value` dict from another histogram in.
-
-        The snapshot carries *cumulative* bucket counts keyed by rendered
-        upper bound; they are decumulated back to per-bucket increments
-        and added under one lock, so merging worker deltas is exact
-        (counter-correct counts and sums, not approximations).  Bounds
-        present in the snapshot but unknown to this histogram raise —
-        merging histograms with different bucket layouts would silently
-        reshape the distribution.
-        """
-        buckets = snap.get("buckets", {})
-        incs = [0] * (len(self.bounds) + 1)
-        index = {b: i for i, b in enumerate(self.bounds)}
-        index[math.inf] = len(self.bounds)
-        prev = 0
-        for bound_text, cum in buckets.items():
-            bound = _parse_number(bound_text)
-            try:
-                idx = index[bound]
-            except KeyError:
-                raise ValueError(
-                    f"cannot merge histogram snapshot: unknown bucket "
-                    f"bound {bound_text!r}"
-                ) from None
-            incs[idx] += int(cum) - prev
-            prev = int(cum)
+    def state(self) -> tuple[tuple[float, ...], tuple[int, ...], float, int]:
+        """``(bounds, per-bucket counts, sum, count)``, read under the lock."""
         with self._lock:
-            for i, d in enumerate(incs):
-                self._counts[i] += d
-            self._sum += float(snap.get("sum", 0.0))
-            self._count += int(snap.get("count", 0))
+            return self.bounds, tuple(self._counts), self._sum, self._count
+
+    def merge(self, state: tuple) -> None:
+        """Add another histogram's :meth:`state` in (exact bucket addition).
+
+        The layouts must match: folding counts into other bounds would
+        silently reshape the distribution, so a mismatch raises.
+        """
+        bounds, counts, total, count = state
+        if tuple(bounds) != self.bounds or len(counts) != len(self._counts):
+            raise ValueError(
+                f"cannot merge histogram with bounds {tuple(bounds)} into "
+                f"one with bounds {self.bounds}"
+            )
+        with self._lock:
+            self._counts = [a + b for a, b in zip(self._counts, counts)]
+            self._sum += total
+            self._count += count
+
+
+def bucket_quantile(
+    pairs: Sequence[tuple[float, float]], q: float
+) -> float | None:
+    """The *q*-quantile of cumulative ``(upper_bound, count)`` pairs.
+
+    The Prometheus ``histogram_quantile`` convention: the mass inside
+    each bucket is uniform between the previous upper bound and its own
+    (the first bucket's lower edge is 0, matching the non-negative
+    quantities this registry records), and observations in the ``+Inf``
+    bucket clamp to the largest finite bound — a known-floor estimate
+    rather than an invented tail.  Counts may be floats (windowed
+    deltas).  ``None`` when the pairs hold no observations (callers
+    render it as ``-``).
+    """
+    if not pairs or pairs[-1][1] <= 0:
+        return None
+    target = q * pairs[-1][1]
+    prev_bound, prev_cum = 0.0, 0.0
+    for bound, cum in pairs:
+        if cum >= target:
+            if bound == math.inf:
+                return prev_bound
+            if cum == prev_cum:
+                return bound
+            frac = (target - prev_cum) / (cum - prev_cum)
+            return prev_bound + frac * (bound - prev_bound)
+        prev_bound, prev_cum = bound, cum
+    return prev_bound  # pragma: no cover - the last pair holds the total
+
+
+def merged_buckets(
+    series: Mapping[str, Mapping[str, Any]],
+) -> list[tuple[float, float]]:
+    """One histogram family's snapshot series summed into sorted pairs.
+
+    *series* is ``{label_key: snapshot_value()}`` as
+    :meth:`MetricsRegistry.snapshot` lays it out (and stats files carry
+    it); every label series' bucket counts are added per bound into
+    cumulative ``(bound, count)`` pairs.
+    """
+    merged: dict[float, float] = {}
+    for value in series.values():
+        for text, cum in value.get("buckets", {}).items():
+            bound = float(text)  # "+Inf" parses to math.inf
+            merged[bound] = merged.get(bound, 0.0) + float(cum)
+    return sorted(merged.items())
 
 
 class MetricFamily:
@@ -436,12 +454,7 @@ class MetricFamily:
 
 
 def _label_suffix(labels: Mapping[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{k}="{_escape_label_value(str(v))}"' for k, v in labels.items()
-    )
-    return "{" + inner + "}"
+    return "{" + label_key(labels) + "}" if labels else ""
 
 
 def label_key(labels: Mapping[str, str]) -> str:
@@ -557,7 +570,10 @@ class MetricsRegistry:
             return list(self._families.values())
 
     def quantiles(
-        self, name: str, qs: Sequence[float] = (0.5, 0.95, 0.99)
+        self,
+        name: str,
+        qs: Sequence[float] = (0.5, 0.95, 0.99),
+        drop_labels: Sequence[str] = (),
     ) -> dict[str, dict[str, float | None]]:
         """Percentile summaries for histogram family *name*.
 
@@ -565,40 +581,11 @@ class MetricsRegistry:
         ``p<percentile>`` entry per requested quantile (``0.5`` → ``p50``,
         ``0.99`` → ``p99``) — the compact view ``repro stats`` and the
         ``--stats-every`` snapshots surface instead of raw bucket dumps.
-        Empty dict when the family does not exist or is not a histogram.
-        """
-        family = self._families.get(name)
-        if family is None or family.kind != "histogram":
-            return {}
-        out: dict[str, dict[str, float | None]] = {}
-        for labels, metric in family.children():
-            key = label_key(labels)
-            count = metric.count
-            summary: dict[str, float | None] = {
-                "count": float(count),
-                "mean": (metric.sum / count) if count else None,
-            }
-            for q in qs:
-                label = f"p{q * 100:g}".replace(".", "_")
-                summary[label] = metric.quantile(q)
-            out[key] = summary
-        return out
-
-    def aggregated_quantiles(
-        self,
-        name: str,
-        qs: Sequence[float] = (0.5, 0.95, 0.99),
-        drop_labels: Sequence[str] = ("worker",),
-    ) -> dict[str, dict[str, float | None]]:
-        """Like :meth:`quantiles`, but with *drop_labels* summed away.
-
-        Histogram children whose labels differ only in the dropped
-        dimensions are merged (bucket-wise, via the snapshot/merge path,
-        so counts and sums stay exact) before quantiles are computed.
-        The canonical use is collapsing per-worker series — latency
-        percentiles across the whole fleet rather than one line per
-        ``worker="3"`` — which is what ``repro stats`` and ``repro top``
-        want.  Empty dict when the family is absent or not a histogram.
+        Children whose labels differ only in *drop_labels* are summed
+        bucket-wise first (exact counts and sums), so
+        ``drop_labels=("worker",)`` gives fleet-wide percentiles rather
+        than one line per worker.  Empty dict when the family does not
+        exist or is not a histogram.
         """
         family = self._families.get(name)
         if family is None or family.kind != "histogram":
@@ -609,11 +596,9 @@ class MetricsRegistry:
             key = label_key(
                 {k: v for k, v in labels.items() if k not in dropped}
             )
-            agg = merged.get(key)
-            if agg is None:
-                agg = Histogram(metric.bounds)
-                merged[key] = agg
-            agg.merge_snapshot_value(metric.snapshot_value())
+            if key not in merged:
+                merged[key] = Histogram(metric.bounds)
+            merged[key].merge(metric.state())
         out: dict[str, dict[str, float | None]] = {}
         for key, metric in merged.items():
             count = metric.count
@@ -688,6 +673,26 @@ class MetricsRegistry:
             for labels, metric in children:
                 series[label_key(labels)] = metric.snapshot_value()
             out[section[family.kind]][family.name] = series
+        return out
+
+    def export(self) -> list[tuple[str, str, tuple[str, ...], list[tuple]]]:
+        """Raw per-series state: ``[(kind, name, labelnames, series)]``.
+
+        *series* is ``[(labelvalues, state), ...]`` with each metric's
+        ``state()``, for every family that has children, counters first,
+        then gauges, then histograms (the order :meth:`snapshot` uses).
+        Only tuples, strings and numbers, so it pickles under any start
+        method; another registry folds it in with each metric's
+        ``merge`` — no text rendering or parsing on either side.
+        """
+        kinds = ("counter", "gauge", "histogram")
+        out = []
+        for family in sorted(self.families(), key=lambda f: kinds.index(f.kind)):
+            with family._lock:
+                items = list(family._children.items())
+            if items:
+                series = [(key, metric.state()) for key, metric in items]
+                out.append((family.kind, family.name, family.labelnames, series))
         return out
 
 

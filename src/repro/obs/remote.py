@@ -11,18 +11,22 @@ parent never saw either.  This module is the bridge:
   so estimator → scheduler → worker-chunk → engine-phase spans form one
   connected tree under both ``fork`` and ``spawn`` start methods.
 * :func:`run_chunk_with_telemetry` — the worker-side harness.  It binds
-  a **fresh** :class:`~repro.obs.metrics.MetricsRegistry` (so the
-  snapshot it takes afterwards *is* the chunk's delta — nothing to
-  subtract, and fork-inherited parent counts can never leak in), a
+  a **fresh** :class:`~repro.obs.metrics.MetricsRegistry` (so what it
+  exports afterwards *is* the chunk's delta — nothing to subtract, and
+  fork-inherited parent counts can never leak in), a
   :class:`~repro.obs.profile.PhaseProfiler`, and a chunk-local span
   buffer (:func:`~repro.obs.spans.capture_spans` *replaces* any
   inherited sinks, so a fork-started worker cannot double-write the
   parent's ``--trace-file``).  Everything is piggybacked on the chunk
   result as a :class:`ChunkResult` — no extra IPC channel.
 * :class:`RemoteTelemetry` — the parent-side merger.  ``absorb`` folds a
-  worker's metric snapshot into the serving registry under a ``worker``
-  label (merge-correct counters and histograms, exact bucket addition)
-  and forwards the worker's span records to the local sinks.  Chunk IDs
+  worker's metric delta into the serving registry under a ``worker``
+  label and forwards the worker's span records to the local sinks.  The
+  delta travels as :meth:`~repro.obs.metrics.MetricsRegistry.export` raw
+  state (label-value tuples, per-bucket counts) and merges with each
+  metric's ``merge`` — counters add, gauges adopt, histograms add their
+  buckets exactly and refuse another bucket layout — with no text
+  rendering in the worker and no parsing in the parent.  Chunk IDs
   are remembered, so absorbing the same chunk twice — e.g. a retried
   dispatch whose first result later arrives anyway — is idempotent.
 
@@ -48,7 +52,6 @@ from .metrics import (
     LATENCY_BUCKETS,
     MetricsRegistry,
     enabled,
-    parse_label_key,
     use_registry,
 )
 from .profile import PhaseProfiler, use_profiler
@@ -117,7 +120,7 @@ class ChunkTelemetry:
 
     chunk_id: str
     worker: str
-    metrics: dict[str, Any]
+    metrics: list[tuple]  # MetricsRegistry.export() of the chunk's delta
     spans: list[dict[str, Any]] = field(default_factory=list)
 
 
@@ -179,8 +182,8 @@ def run_chunk_with_telemetry(
 
     Re-enters *ctx*, binds a fresh delta registry + profiler + span
     buffer, runs the chunk under a ``pool.chunk`` span, and returns the
-    chunk value together with the registry snapshot and captured span
-    records.  With observability disabled this is a bare call with no
+    chunk value together with the delta registry's export and captured
+    span records.  With observability disabled this is a bare call with no
     telemetry attached.
     """
     if not enabled():
@@ -232,51 +235,36 @@ def run_chunk_with_telemetry(
         )
     )
     return ChunkResult(
-        value, ChunkTelemetry(chunk_id, worker, delta.snapshot(), captured)
+        value, ChunkTelemetry(chunk_id, worker, delta.export(), captured)
     )
 
 
 def merge_worker_snapshot(
-    registry: MetricsRegistry, snapshot: Mapping[str, Any], worker: str
+    registry: MetricsRegistry, exported: list[tuple], worker: str
 ) -> None:
-    """Fold one worker registry snapshot into *registry* under a
-    ``worker`` label.
+    """Fold one worker registry's :meth:`~MetricsRegistry.export` into
+    *registry* under a ``worker`` label.
 
-    Counters add, gauges adopt the reported value, histograms add
-    decumulated bucket counts — so merging N chunk deltas equals having
-    observed everything in-process.  If a family name already exists in
+    Counters add, gauges adopt the reported value, histograms add their
+    per-bucket counts — so merging N chunk deltas equals having observed
+    everything in-process.  If a family name already exists in
     *registry* with incompatible labels (e.g. the parent itself observed
     ``obs_span_duration_seconds{span=...}`` without a ``worker`` label),
     the merged series land under a ``worker_``-prefixed family name
-    instead of corrupting the resident one.
+    instead of corrupting the resident one.  A histogram whose bucket
+    layout differs from the resident family's raises ``ValueError``.
     """
-    kinds = (
-        ("counters", registry.counter, False),
-        ("gauges", registry.gauge, False),
-        ("histograms", registry.histogram, True),
-    )
-    for section, getter, is_hist in kinds:
-        for name, series in snapshot.get(section, {}).items():
-            for key, value in series.items():
-                labels = parse_label_key(key) if key else {}
-                labels["worker"] = worker
-                labelnames = tuple(labels)
-                kwargs: dict[str, Any] = {}
-                if is_hist:
-                    bounds = [
-                        b
-                        for b in value.get("buckets", {})
-                        if b != "+Inf"
-                    ]
-                    if bounds:
-                        kwargs["buckets"] = tuple(float(b) for b in bounds)
-                try:
-                    family = getter(name, labelnames=labelnames, **kwargs)
-                except ValueError:
-                    family = getter(
-                        "worker_" + name, labelnames=labelnames, **kwargs
-                    )
-                family.labels(**labels).merge_snapshot_value(value)
+    for kind, name, labelnames, series in exported:
+        getter = getattr(registry, kind)  # the get-or-create method
+        labelnames = (*labelnames, "worker")
+        kwargs = {"buckets": series[0][1][0]} if kind == "histogram" else {}
+        try:
+            family = getter(name, labelnames=labelnames, **kwargs)
+        except ValueError:
+            family = getter("worker_" + name, labelnames=labelnames, **kwargs)
+        for labelvalues, state in series:
+            labels = dict(zip(labelnames, (*labelvalues, worker)))
+            family.labels(**labels).merge(state)
 
 
 class RemoteTelemetry:

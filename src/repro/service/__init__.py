@@ -25,7 +25,12 @@ from .estimator import Estimator, RequestHandle
 from .journal import ConvergenceTrace, RequestJournal, TraceFrame
 from .precision import Precision, StopDecision, StoppingRule
 from .requests import MODES, PROTOCOL_VERSIONS, EstimateRequest, EstimateResult
-from .scheduler import BatchScheduler, EstimateCancelled, EstimateTimeout
+from .scheduler import (
+    BatchScheduler,
+    EstimateCancelled,
+    EstimateTimeout,
+    InvalidRequest,
+)
 
 __all__ = [
     "Estimator",
@@ -46,4 +51,5 @@ __all__ = [
     "BatchScheduler",
     "EstimateTimeout",
     "EstimateCancelled",
+    "InvalidRequest",
 ]

@@ -73,7 +73,18 @@ from .journal import ConvergenceTrace, RequestJournal, TraceFrame
 from .precision import StoppingRule
 from .requests import EstimateRequest, EstimateResult
 
-__all__ = ["BatchScheduler", "EstimateTimeout", "EstimateCancelled", "Ticket"]
+__all__ = [
+    "BatchScheduler",
+    "EstimateTimeout",
+    "EstimateCancelled",
+    "InvalidRequest",
+    "Ticket",
+]
+
+
+class InvalidRequest(ValueError):
+    """The request names an unknown algorithm, a bad parameter or a mode
+    its algorithm cannot run: a client mistake found at submit."""
 
 
 class EstimateTimeout(TimeoutError):
@@ -313,16 +324,23 @@ class BatchScheduler:
     def submit(self, request: EstimateRequest) -> Ticket:
         """Compile *request* into a ticket and queue it; returns at once.
 
-        Cache hits, and precision requests whose pooled evidence already
-        meets the target, complete before this returns.  A fixed budget
-        identical to one in flight subscribes to it instead of running.
+        A request that cannot compile (graph, algorithm, parameters or
+        mode) raises :class:`InvalidRequest`.  Cache hits, and precision
+        requests whose pooled evidence already meets the target, complete
+        before this returns.  A fixed budget identical to one in flight
+        subscribes to it instead of running.
         """
         if self._closed:
             raise RuntimeError("scheduler is shut down")
         self.counters.increment("requests")
-        graph = self._resolve_graph(request)
-        algorithm = make(request.algorithm, **dict(request.params))
-        mode = self._resolve_mode(request.mode, algorithm)
+        try:
+            graph = self._resolve_graph(request)
+            algorithm = make(request.algorithm, **dict(request.params))
+            mode = self._resolve_mode(request.mode, algorithm)
+        except (KeyError, TypeError, ValueError) as exc:
+            # KeyError's str() quotes its message; report it bare.
+            bare = isinstance(exc, KeyError) and exc.args
+            raise InvalidRequest(str(exc.args[0] if bare else exc)) from exc
         graph_hash = graph.content_hash()
         algorithm_key = request.algorithm_key()
         precision = request.resolved_precision()

@@ -365,6 +365,7 @@ class TestBlockParameterChecks:
         assert errors == 1
         payload = json.loads(out.getvalue())
         assert "p must lie in (0, 1)" in payload["error"], payload
+        assert payload["code"] == "bad_request"
         assert "0 trials executed" in capsys.readouterr().err
 
 

@@ -219,6 +219,76 @@ class TestServeCommand:
         assert "request_completed" in names
 
 
+class TestServeErrorCodes:
+    """Client mistakes found only at submit come back as ``bad_request``;
+    a failure while trials run stays ``internal``."""
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"algorithm": "no_such_alg", "trials": 8}, "unknown algorithm"),
+            (
+                {"algorithm": "luby_fast", "trials": 8, "params": {"bogus": 1}},
+                "bogus",
+            ),
+            (
+                {"algorithm": "fair_bipart_fast", "trials": 8,
+                 "params": {"p": 1.0}},
+                "p must lie in (0, 1)",
+            ),
+            (
+                {"v": 2, "algorithm": "fair_bipart_fast",
+                 "params": {"gamma": 0}},
+                "gamma must be >= 1",
+            ),
+            (
+                {"algorithm": "luby", "trials": 8, "mode": "vectorized"},
+                "no vectorized runner",
+            ),
+        ],
+        ids=["algorithm", "unknown-param", "p", "v2-gamma", "vectorized"],
+    )
+    def test_submit_errors_are_bad_request(self, obj, message):
+        from repro.cli import _service_loop
+
+        line = json.dumps({"graph": "tree:30:1", "seed": 0, **obj})
+        out = io.StringIO()
+        errors = _service_loop(
+            [line], out, jobs=1, cache_size=8, mode="auto", include_counts=False
+        )
+        assert errors == 1
+        payload = json.loads(out.getvalue())
+        if obj.get("v") == 2:
+            assert payload["error"]["code"] == "bad_request", payload
+            text = payload["error"]["message"]
+        else:
+            assert payload["code"] == "bad_request", payload
+            text = payload["error"]
+        assert message in text
+        assert not text.startswith(("'", '"'))  # no KeyError quoting
+
+    def test_run_time_failure_stays_internal(self, monkeypatch):
+        from repro.analysis import montecarlo
+        from repro.cli import _service_loop
+
+        def broken(*_args, **_kwargs):
+            raise ValueError("engine fault")
+
+        monkeypatch.setattr(montecarlo, "chunk_counts", broken)
+        line = json.dumps(
+            {"graph": "path:8", "algorithm": "luby_fast", "trials": 8,
+             "seed": 0, "mode": "exact"}
+        )
+        out = io.StringIO()
+        errors = _service_loop(
+            [line], out, jobs=1, cache_size=8, mode="auto", include_counts=False
+        )
+        assert errors == 1
+        payload = json.loads(out.getvalue())
+        assert payload["code"] == "internal", payload
+        assert "engine fault" in payload["error"]
+
+
 class TestStatsCommand:
     def test_stats_both_formats(self, capsys):
         assert main(["stats", "--trials", "16"]) == 0

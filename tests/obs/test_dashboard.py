@@ -9,11 +9,10 @@ from repro.obs.dashboard import (
     TopDashboard,
     _delta_buckets,
     _fraction_over,
-    _quantile,
     run_top,
     snapshot_from_registry,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, bucket_quantile, merged_buckets
 
 
 def _latency_hist(buckets, count, total):
@@ -59,23 +58,24 @@ def _point(
 
 class TestWindowMath:
     def test_delta_buckets_subtract_oldest(self):
-        new = {"0.1": 5, "1": 9, "+Inf": 10}
-        old = {"0.1": 2, "1": 4, "+Inf": 4}
+        new = merged_buckets({"": {"buckets": {"0.1": 5, "1": 9, "+Inf": 10}}})
+        old = merged_buckets({"": {"buckets": {"0.1": 2, "1": 4, "+Inf": 4}}})
         assert _delta_buckets(new, old) == [(0.1, 3.0), (1.0, 5.0), (float("inf"), 6.0)]
 
     def test_delta_never_negative_after_restart(self):
         # a restarted service resets cumulative counts; the window must
         # clamp rather than report negative mass
-        assert _delta_buckets({"+Inf": 1}, {"+Inf": 5}) == [(float("inf"), 0.0)]
+        inf = float("inf")
+        assert _delta_buckets([(inf, 1.0)], [(inf, 5.0)]) == [(inf, 0.0)]
 
     def test_quantile_interpolates(self):
         pairs = [(0.1, 2.0), (1.0, 4.0), (float("inf"), 4.0)]
-        assert _quantile(pairs, 0.50) == pytest.approx(0.1)
-        assert _quantile(pairs, 0.95) == pytest.approx(0.91)
+        assert bucket_quantile(pairs, 0.50) == pytest.approx(0.1)
+        assert bucket_quantile(pairs, 0.95) == pytest.approx(0.91)
 
     def test_quantile_empty_is_none(self):
-        assert _quantile([], 0.5) is None
-        assert _quantile([(1.0, 0.0)], 0.5) is None
+        assert bucket_quantile([], 0.5) is None
+        assert bucket_quantile([(1.0, 0.0)], 0.5) is None
 
     def test_fraction_over_interpolates(self):
         pairs = [(0.1, 2.0), (1.0, 4.0), (float("inf"), 4.0)]

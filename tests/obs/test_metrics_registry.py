@@ -305,7 +305,7 @@ class TestAggregatedQuantiles:
         return reg
 
     def test_drops_worker_dimension(self):
-        out = self._fleet().aggregated_quantiles("lat")
+        out = self._fleet().quantiles("lat", drop_labels=("worker",))
         assert set(out) == {'algorithm="luby"', 'algorithm="fair"'}
         luby = out['algorithm="luby"']
         # Both workers' observations land in one merged histogram.
@@ -314,27 +314,27 @@ class TestAggregatedQuantiles:
         assert 0.0 < luby["p50"] <= luby["p95"] <= luby["p99"] <= 4.0
 
     def test_drop_all_labels_collapses_to_fleet(self):
-        out = self._fleet().aggregated_quantiles(
+        out = self._fleet().quantiles(
             "lat", drop_labels=("worker", "algorithm")
         )
         assert set(out) == {""}
         assert out[""]["count"] == 4.0
 
     def test_custom_qs_name_mangling(self):
-        out = self._fleet().aggregated_quantiles(
+        out = self._fleet().quantiles(
             "lat", qs=(0.5, 0.999), drop_labels=("worker", "algorithm")
         )
         assert set(out[""]) == {"count", "mean", "p50", "p99_9"}
 
     def test_missing_or_wrong_kind_empty(self):
         reg = MetricsRegistry()
-        assert reg.aggregated_quantiles("nope") == {}
+        assert reg.quantiles("nope", drop_labels=("worker",)) == {}
         reg.counter("c").inc()
-        assert reg.aggregated_quantiles("c") == {}
+        assert reg.quantiles("c", drop_labels=("worker",)) == {}
 
     def test_matches_plain_quantiles_when_nothing_dropped(self):
         reg = self._fleet()
-        merged = reg.aggregated_quantiles("lat", drop_labels=())
+        merged = reg.quantiles("lat", drop_labels=())
         plain = reg.quantiles("lat")
         assert set(merged) == set(plain)
         for key in plain:

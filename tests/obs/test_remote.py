@@ -6,22 +6,39 @@ The contract under test (see ``repro.obs.remote``):
   tree attaches under the dispatching span for ``fork`` and ``spawn``
   alike, and the *structure* of the tree (names and parent edges) is
   identical across start methods;
-* worker metric snapshots merge into the parent registry under a
-  ``worker`` label, merge-correctly for counters and histograms;
+* worker metric deltas (``MetricsRegistry.export``) merge into the
+  parent registry under a ``worker`` label, merge-correctly for counters
+  and histograms, and exactly as the JSON-text wire they replaced did;
+* a histogram with another bucket layout never merges silently;
 * absorbing the same chunk twice (retried dispatch) is idempotent;
 * the parent's span-duration family survives worker merges in any order.
 """
 
+import io
+import json
+import math
 import multiprocessing as mp
+import random
 import threading
 
 import pytest
 
 from repro.fast.fair_tree import FastFairTree
 from repro.graphs.generators import random_tree
-from repro.obs.metrics import MetricsRegistry, set_enabled
+from repro.obs.logging import configure_logging, disable_logging
+from repro.obs.metrics import (
+    AGE_BUCKETS,
+    COUNT_BUCKETS,
+    LATENCY_BUCKETS,
+    ROUND_BUCKETS,
+    Histogram,
+    MetricsRegistry,
+    parse_label_key,
+    set_enabled,
+)
 from repro.obs.remote import (
     ChunkResult,
+    ChunkTelemetry,
     RemoteTelemetry,
     TraceContext,
     current_trace_context,
@@ -114,7 +131,6 @@ def _chunk_span_tree(start_method):
     """Submit one chunk to a 2-worker pool with a merge point; return
     (structure, merged_count, worker_labels)."""
     from repro.analysis.montecarlo import TrialPool
-    from repro.obs.metrics import parse_label_key
     from repro.runtime.rng import spawn_trial_seeds
 
     graph = random_tree(40, seed=5).graph
@@ -211,8 +227,11 @@ class TestWorkerHarness:
         assert telemetry is not None
         assert telemetry.chunk_id == "chunk-a"
         assert telemetry.worker.startswith("pid:")
-        counters = telemetry.metrics["counters"]
-        assert counters["worker_trials_total"]['algorithm="alg"'] == 5.0
+        series = {
+            (kind, name): values
+            for kind, name, _labelnames, values in telemetry.metrics
+        }
+        assert series["counter", "worker_trials_total"] == [(("alg",), 5.0)]
         names = [r["name"] for r in telemetry.spans]
         assert "pool.chunk" in names
 
@@ -244,19 +263,17 @@ class TestWorkerHarness:
 
 class TestMergeSnapshot:
     def _snapshot(self):
-        return {
-            "counters": {"jobs_total": {'kind="a"': 3.0}},
-            "gauges": {"depth": {"": 2.0}},
-            "histograms": {
-                "lat": {
-                    'kind="a"': {
-                        "count": 2,
-                        "sum": 3.0,
-                        "buckets": {"1": 1, "2": 2, "+Inf": 2},
-                    }
-                }
-            },
-        }
+        # MetricsRegistry.export() of one worker's delta.
+        return [
+            ("counter", "jobs_total", ("kind",), [(("a",), 3.0)]),
+            ("gauge", "depth", (), [((), 2.0)]),
+            (
+                "histogram",
+                "lat",
+                ("kind",),
+                [(("a",), ((1.0, 2.0), (1, 1, 0), 3.0, 2))],
+            ),
+        ]
 
     def test_merges_under_worker_label(self):
         reg = MetricsRegistry()
@@ -284,6 +301,190 @@ class TestMergeSnapshot:
             snap["counters"]["worker_jobs_total"]['kind="a",worker="pid:1"']
             == 3.0
         )
+
+
+# --------------------------------------------------------------------- #
+# The JSON-text wire the export replaced, kept as a test-local reference:
+# the worker shipped ``MetricsRegistry.snapshot()`` and the parent parsed
+# every label key and bucket bound back.
+# --------------------------------------------------------------------- #
+def _ref_parse_number(text):
+    if text == "+Inf":
+        return math.inf
+    return float(text)
+
+
+def _ref_merge_snapshot_value(metric, value):
+    """``Counter``/``Gauge``/``Histogram.merge_snapshot_value``."""
+    if metric.kind == "counter":
+        metric.inc(float(value))
+        return
+    if metric.kind == "gauge":
+        metric.set(float(value))
+        return
+    buckets = value.get("buckets", {})
+    incs = [0] * (len(metric.bounds) + 1)
+    index = {b: i for i, b in enumerate(metric.bounds)}
+    index[math.inf] = len(metric.bounds)
+    prev = 0
+    for bound_text, cum in buckets.items():
+        bound = _ref_parse_number(bound_text)
+        try:
+            idx = index[bound]
+        except KeyError:
+            raise ValueError(f"unknown bucket bound {bound_text!r}") from None
+        incs[idx] += int(cum) - prev
+        prev = int(cum)
+    with metric._lock:
+        for i, d in enumerate(incs):
+            metric._counts[i] += d
+        metric._sum += float(value.get("sum", 0.0))
+        metric._count += int(value.get("count", 0))
+
+
+def _ref_merge_worker_snapshot(registry, snapshot, worker):
+    kinds = (
+        ("counters", registry.counter, False),
+        ("gauges", registry.gauge, False),
+        ("histograms", registry.histogram, True),
+    )
+    for section, getter, is_hist in kinds:
+        for name, series in snapshot.get(section, {}).items():
+            for key, value in series.items():
+                labels = parse_label_key(key) if key else {}
+                labels["worker"] = worker
+                labelnames = tuple(labels)
+                kwargs = {}
+                if is_hist:
+                    bounds = [
+                        b for b in value.get("buckets", {}) if b != "+Inf"
+                    ]
+                    if bounds:
+                        kwargs["buckets"] = tuple(float(b) for b in bounds)
+                try:
+                    family = getter(name, labelnames=labelnames, **kwargs)
+                except ValueError:
+                    family = getter(
+                        "worker_" + name, labelnames=labelnames, **kwargs
+                    )
+                _ref_merge_snapshot_value(family.labels(**labels), value)
+
+
+#: name → (kind, labelnames, bucket layout); one layout per name, as in
+#: the service, where a family's declaration fixes its buckets.
+_CATALOG = {
+    "jobs_total": ("counter", ("kind",), None),  # resident unlabeled twin
+    "msgs_total": ("counter", (), None),
+    "depth": ("gauge", (), None),
+    "load": ("gauge", ("shard", "kind"), None),
+    "lat": ("histogram", ("kind",), LATENCY_BUCKETS),
+    "rounds": ("histogram", ("kind", "phase"), ROUND_BUCKETS),
+    "sizes": ("histogram", (), COUNT_BUCKETS),
+    "ages": ("histogram", ("kind",), AGE_BUCKETS),
+    "custom": ("histogram", ("phase",), (1e-7, 0.3, 7.0, 2.5e10)),
+    # the parent's own span family (pre-claimed by RemoteTelemetry)
+    "obs_span_duration_seconds": ("histogram", ("span",), LATENCY_BUCKETS),
+}
+
+_HOSTILE = ['quo"te', "back\\slash", "new\nline", "com,ma", "", "a", "b"]
+
+
+def _random_delta(rng):
+    """A worker delta registry: random families, children and values."""
+    delta = MetricsRegistry()
+    for name in rng.sample(sorted(_CATALOG), rng.randint(1, len(_CATALOG))):
+        kind, labelnames, layout = _CATALOG[name]
+        if kind == "histogram":
+            family = delta.histogram(name, buckets=layout, labelnames=labelnames)
+        else:
+            family = getattr(delta, kind)(name, labelnames=labelnames)
+        for _ in range(rng.randint(1, 3)):
+            child = family.labels(
+                **{n: rng.choice(_HOSTILE) for n in labelnames}
+            )
+            if kind == "counter":
+                child.inc(rng.choice([0, 1, 2.5, rng.randint(1, 10**6)]))
+            elif kind == "gauge":
+                child.set(rng.uniform(-5, 5))
+            else:  # 0 observations leaves an empty child
+                top = layout[-1]
+                child.observe_many(
+                    [rng.uniform(0, top * 1.5) for _ in range(rng.randint(0, 6))]
+                )
+    return delta
+
+
+def _resident_registry():
+    """A parent registry whose families force the ``worker_`` fallback."""
+    reg = MetricsRegistry()
+    reg.counter("jobs_total").inc(9)
+    RemoteTelemetry(reg)  # pre-claims obs_span_duration_seconds{span}
+    return reg
+
+
+class TestExportWireEqualsStringWire:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_merged_registry(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            deltas = [_random_delta(rng) for _ in range(rng.randint(1, 3))]
+            old, new = _resident_registry(), _resident_registry()
+            for _ in range(2):
+                for delta in deltas:
+                    for worker in ("pid:1", "pid:2"):
+                        _ref_merge_worker_snapshot(
+                            old, json.loads(json.dumps(delta.snapshot())), worker
+                        )
+                        merge_worker_snapshot(new, delta.export(), worker)
+            assert new.snapshot() == old.snapshot()
+            assert new.render_prometheus() == old.render_prometheus()
+
+    def test_sweep_reaches_the_fallback_and_the_inf_bucket(self):
+        rng = random.Random(0)
+        reg = _resident_registry()
+        for _ in range(25):
+            merge_worker_snapshot(reg, _random_delta(rng).export(), "pid:1")
+        snap = reg.snapshot()
+        assert "worker_jobs_total" in snap["counters"]
+        assert "worker_obs_span_duration_seconds" in snap["histograms"]
+        lat = snap["histograms"]["lat"].values()
+        assert any(v["buckets"]["+Inf"] > v["buckets"]["30"] for v in lat)
+
+    def test_export_pickles(self):
+        import pickle
+
+        exported = _random_delta(random.Random(1)).export()
+        assert pickle.loads(pickle.dumps(exported)) == exported
+
+
+class TestLayoutMismatch:
+    def test_histogram_merge_rejects_other_bounds(self):
+        mine, theirs = Histogram((1, 2)), Histogram((1, 3))
+        theirs.observe(0.5)
+        with pytest.raises(ValueError, match="bounds"):
+            mine.merge(theirs.state())
+        assert mine.count == 0
+
+    def test_absorb_of_other_layout_logs_and_keeps_value(self):
+        reg = MetricsRegistry()
+        reg.histogram("lat", buckets=(1, 2), labelnames=("worker",))
+        tel = RemoteTelemetry(reg)
+        payload = [
+            ("histogram", "lat", (), [((), ((1.0, 3.0), (1, 0, 0), 0.5, 1))])
+        ]
+        buf = io.StringIO()
+        configure_logging(stream=buf, level="debug")
+        try:
+            value = tel.absorb(
+                ChunkResult(7, ChunkTelemetry("chunk-m", "pid:1", payload))
+            )
+        finally:
+            disable_logging()
+        assert value == 7
+        assert "telemetry_merge_failed" in buf.getvalue()
+        assert reg.counter("telemetry_chunks_merged_total").value == 0
+        lat = reg.snapshot()["histograms"].get("lat", {})
+        assert all(v["count"] == 0 for v in lat.values())
 
 
 class TestAbsorbIdempotence:
@@ -315,12 +516,13 @@ class TestAbsorbIdempotence:
         assert reg.counter("telemetry_chunks_merged_total").value == 0
 
     def test_malformed_telemetry_still_returns_value(self):
-        from repro.obs.remote import ChunkTelemetry
-
         reg = MetricsRegistry()
         tel = RemoteTelemetry(reg)
         bad = ChunkResult(
-            3, ChunkTelemetry("chunk-x", "pid:9", {"histograms": {"h": {"": "garbage"}}})
+            3,
+            ChunkTelemetry(
+                "chunk-x", "pid:9", [("histogram", "h", (), [((), "garbage")])]
+            ),
         )
         assert tel.absorb(bad) == 3
 
