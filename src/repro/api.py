@@ -1,8 +1,8 @@
 """Stable public API facade for library consumers.
 
-``repro.api`` is the compatibility surface: names exported here follow
-deprecation policy (a release of ``DeprecationWarning`` before removal),
-whereas internal module layout may shift between versions.  Typical use::
+``repro.api`` is the compatibility surface: names exported here stay
+stable, whereas internal module layout may shift between versions.
+Typical use::
 
     from repro.api import Estimator, GraphSpec, Precision
 
@@ -14,15 +14,17 @@ whereas internal module layout may shift between versions.  Typical use::
         )
         print(result.estimate.inequality, result.realized_trials)
 
-The v2 request shape (since the precision redesign) targets a confidence
-interval instead of a trial count: :class:`Precision` specifies the
-target CI half-width (per-node join frequency and/or inequality factor),
-a confidence level, and a hard trial cap; the scheduler runs trial
-rounds, seeds the interval from cached evidence, and stops as soon as
-the target closes.  ``EstimateResult.realized_trials`` reports the total
-evidence behind the returned estimate.  The v1 surface — ``trials=``
-without ``precision=`` — still works but raises ``DeprecationWarning``
-(one release notice before removal; migration table in ``docs/API.md``).
+Requests come in two shapes (``docs/API.md``, "v1 and v2").  The v1
+shape — ``trials=`` without ``precision=`` — is a fixed budget, the
+paper's protocol: exactly that many trials, exact-mode counts
+bit-identical to :func:`run_trials`, and an exact-key result cache.
+The v2 shape targets a confidence interval instead: :class:`Precision`
+specifies the target CI half-width (per-node join frequency and/or
+inequality factor), a confidence level, and a hard trial cap; the
+scheduler runs trial rounds, seeds the interval from cached evidence,
+and stops as soon as the target closes.
+``EstimateResult.realized_trials`` reports the total evidence behind
+the returned estimate.
 
 Groups:
 

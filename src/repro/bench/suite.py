@@ -70,8 +70,6 @@ def _sequential_stopping() -> dict[str, dict[str, Any]]:
     records the realized-trials distribution of default-precision
     requests (p50/p95, gated with slack for stopping-boundary wobble).
     """
-    import warnings as _warnings
-
     import numpy as np
 
     from ..service.estimator import Estimator
@@ -80,12 +78,10 @@ def _sequential_stopping() -> dict[str, dict[str, Any]]:
     graph = _bench_tree(500, seed=_COUNT_SEED)
     fixed_trials = 2000
     with Estimator(n_jobs=1) as service:
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", DeprecationWarning)
-            service.estimate(
-                graph=graph, algorithm="fair_tree_fast",
-                trials=fixed_trials, seed=_COUNT_SEED, timeout=300.0,
-            )
+        service.estimate(
+            graph=graph, algorithm="fair_tree_fast",
+            trials=fixed_trials, seed=_COUNT_SEED, timeout=300.0,
+        )
         warm = service.estimate(
             graph=graph, algorithm="fair_tree_fast",
             precision=Precision.default(), seed=_COUNT_SEED + 1,

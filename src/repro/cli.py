@@ -7,11 +7,10 @@ Commands
 ``estimate``  Monte-Carlo join probabilities + inequality factor
 ``serve``     estimation service: JSON requests on stdin → results on stdout
 ``batch``     estimation service over a JSON-lines request file
-``stats``     probe the service and print its metrics exposition
-``trace``     export a span tree as Chrome trace-event / Perfetto JSON
-``top``       live terminal dashboard over service stats snapshots
-``explain``   render a request's convergence trace (why it stopped)
-``evidence``  introspect/purge the cache's pooled evidence plane
+``trace``     export a ``--trace-file`` span tree as Chrome/Perfetto JSON
+``top``       live terminal dashboard over a ``--stats-file``
+``explain``   render a result file's convergence trace (why it stopped)
+``evidence``  list the pooled evidence plane recorded in a ``--stats-file``
 ``health``    evaluate SLO health rules; exit 0 ok / 1 warn / 2 crit
 ``bench``     deterministic count suite → ``BENCH_<sha>.json`` artifact,
               gated against a baseline with ``--compare``
@@ -24,6 +23,12 @@ Commands
 ``bounds``    Theorems 3/8/13/17 checks
 ``rounds``    round-complexity measurement (faithful layer)
 ``optimal``   exact optimal fairness (LP) on small families
+
+The operator commands (``trace``, ``top``, ``explain``, ``evidence``,
+``health``) only read the stats, span and result files that ``serve``
+and ``batch`` write with ``--stats-every N --stats-file``,
+``--trace-file`` and ``--output``; ``examples/probe.jsonl`` is a
+four-request file that fills all three.
 
 Graph specs (``--graph``) are parsed by :mod:`repro.graphs.spec` — see
 its docstring for the full ``kind:arg`` grammar (``tree:N[:SEED]``,
@@ -39,7 +44,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from contextlib import contextmanager
 from typing import IO, Iterable
 
@@ -188,8 +192,7 @@ def _cmd_families(args: argparse.Namespace) -> None:
 def _latency_summary(registry) -> dict[str, dict[str, float | None]]:
     """Per-algorithm request-latency percentiles (ms) from the registry.
 
-    Empty histograms yield ``None`` entries (rendered as ``-`` by
-    ``repro stats``), never a crash.
+    Empty histograms yield ``None`` entries, never a crash.
     """
     out: dict[str, dict[str, float | None]] = {}
     summaries = registry.quantiles("service_request_latency_seconds")
@@ -206,14 +209,6 @@ def _latency_summary(registry) -> dict[str, dict[str, float | None]]:
 
 def _ms(seconds: float | None) -> float | None:
     return None if seconds is None else seconds * 1e3
-
-
-def _fmt_ms(value: float | None) -> str:
-    return "-" if value is None else f"{value:.2f}ms"
-
-
-def _fmt_count(value: float | None) -> str:
-    return "-" if value is None else f"{value:.0f}"
 
 
 def _service_loop(
@@ -234,9 +229,10 @@ def _service_loop(
     schema violations never raise — each comes back as a structured
     per-line error object in the request's protocol shape
     (:mod:`repro.frontend.protocol`).  With ``stats_every=N`` a one-line
-    JSON stats snapshot (counters, request-latency percentiles, plus the
-    full metrics-registry snapshot) is written after every N served
-    requests — the live-monitoring hook for ``serve``/``batch``.
+    JSON stats snapshot (counters, request-latency percentiles, the
+    evidence plane's rows and the full metrics-registry snapshot) is
+    written after every N served requests — what ``repro top``,
+    ``health`` and ``evidence`` read.
     Snapshots go to *stats_stream* when given (``--stats-file``,
     JSON-lines), otherwise to stderr.
     """
@@ -250,7 +246,6 @@ def _service_loop(
 
     errors = 0
     served = 0
-    v1_noted = False
     limit = max_line_bytes if max_line_bytes is not None else DEFAULT_MAX_LINE_BYTES
     with Estimator(n_jobs=jobs, cache_size=cache_size) as service:
         for lineno, line in enumerate(lines, start=1):
@@ -260,16 +255,6 @@ def _service_loop(
             parsed = parse_request_line(
                 line, lineno=lineno, max_bytes=limit, default_mode=mode
             )
-            if parsed.obj is not None and parsed.version == 1 and not v1_noted:
-                # Once per connection, not per line: v1 traffic is
-                # legal but deprecated (docs/API.md migration table).
-                v1_noted = True
-                print(
-                    "note: v1 fixed-trial requests are deprecated; "
-                    'send {"v": 2, ...} with a "precision" block '
-                    "(see docs/API.md)",
-                    file=sys.stderr,
-                )
             if not parsed.ok:
                 errors += 1
                 payload = parsed.error
@@ -296,6 +281,7 @@ def _service_loop(
                     service.registry, service.counters, served
                 )
                 snapshot["latency_ms"] = _latency_summary(service.registry)
+                snapshot["evidence"] = service.cache.evidence_entries()
                 target = stats_stream if stats_stream is not None else sys.stderr
                 target.write(json.dumps(snapshot) + "\n")
                 target.flush()
@@ -571,86 +557,6 @@ def _cmd_batch(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
-def _cmd_stats(args: argparse.Namespace) -> None:
-    """Exercise the service with a small probe and print its metrics.
-
-    The probe issues one exact-mode request (filling the rounds-per-trial,
-    trials-per-chunk and latency histograms), repeats it (filling the
-    cache-hit path), and runs a precision-targeted request twice (cold,
-    then seeded from the deposited evidence — filling the precision
-    plane), then renders the estimator's registry in Prometheus text
-    and/or JSON form.
-    """
-    from .service import Estimator, Precision
-
-    graph = _graph_from_spec(args.graph)
-    with Estimator(n_jobs=args.jobs, cache_size=8) as service:
-        for _ in range(2):  # second pass exercises the cache-hit path
-            service.estimate(
-                graph=graph,
-                algorithm=args.algorithm,
-                trials=args.trials,
-                seed=args.seed,
-                mode="exact",
-            )
-        for _ in range(2):  # second pass is served from pooled evidence
-            service.estimate(
-                graph=graph,
-                algorithm=args.algorithm,
-                precision=Precision.default(),
-                seed=args.seed,
-            )
-        counters = service.counters.snapshot()
-        registry = service.registry
-        latency = _latency_summary(registry)
-        if args.format in ("prom", "both"):
-            print(registry.render_prometheus(), end="")
-        if args.format in ("json", "both"):
-            if args.format == "both":
-                print()
-            print(
-                json.dumps(
-                    {
-                        "counters": counters,
-                        "latency_ms": latency,
-                        "metrics": registry.snapshot(),
-                    },
-                    indent=2,
-                )
-            )
-        for labels, summary in latency.items():
-            print(
-                f"latency[{labels}]: p50 {_fmt_ms(summary['p50_ms'])}  "
-                f"p95 {_fmt_ms(summary['p95_ms'])}  "
-                f"p99 {_fmt_ms(summary['p99_ms'])}  "
-                f"(n={summary['count']:.0f})",
-                file=sys.stderr,
-            )
-        # Precision plane: the sequential-stopping economics in one line
-        # (plus fleet-wide realized-trials percentiles, worker/algorithm
-        # labels summed away).
-        precision_requests = counters["precision_requests"]
-        if precision_requests:
-            early_ratio = counters["early_stops"] / precision_requests
-            looked = counters["evidence_hits"] + counters["evidence_misses"]
-            hit_rate = counters["evidence_hits"] / looked if looked else None
-            realized = registry.quantiles(
-                "service_realized_trials",
-                qs=(0.5, 0.95),
-                drop_labels=("worker", "algorithm"),
-            ).get("", {})
-            print(
-                f"precision: {precision_requests} requests  "
-                f"early-stop {early_ratio * 100:.0f}%  "
-                "evidence hit "
-                + ("-" if hit_rate is None else f"{hit_rate * 100:.0f}%")
-                + f"  realized trials p50 "
-                f"{_fmt_count(realized.get('p50'))} "
-                f"p95 {_fmt_count(realized.get('p95'))}",
-                file=sys.stderr,
-            )
-
-
 def _render_trace(trace) -> str:
     """Render one convergence trace as the ``repro explain`` report."""
     from .analysis.ascii import sparkline
@@ -705,195 +611,118 @@ def _render_trace(trace) -> str:
 def _cmd_explain(args: argparse.Namespace) -> None:
     """Render a request's convergence trace (why the estimator stopped).
 
-    Two modes:
-
-    * **file mode** (``--input results.jsonl``): read result lines from a
-      ``serve``/``batch`` run (the request must have asked for
-      ``"trace": true``) and explain one of them (``--id``, default the
-      last trace-bearing line).
-    * **probe mode** (default): run one cold default-precision request
-      through a live Estimator and explain it — the one-command way to
-      watch the Wilson half-width close round by round.
+    Reads the result lines of a ``serve``/``batch`` run (the request
+    must have asked for ``"trace": true``) and explains one of them
+    (``--id``, default the last trace-bearing line).
     """
     from .service.journal import ConvergenceTrace
 
-    if args.input:
-        traces: list[ConvergenceTrace] = []
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if isinstance(obj, dict) and "convergence" in obj:
-                        traces.append(
-                            ConvergenceTrace.from_json(obj["convergence"])
-                        )
-        except OSError as exc:
-            raise SystemExit(f"error: cannot read {args.input}: {exc.strerror}")
-        if args.id is not None:
-            traces = [t for t in traces if t.request_id == args.id]
-        if not traces:
-            what = f"request id {args.id!r}" if args.id else "convergence traces"
-            raise SystemExit(
-                f"error: no {what} in {args.input} (did the requests set "
-                '"trace": true?)'
-            )
-        trace = traces[-1]
-    else:
-        from .service import Estimator, Precision
-
-        graph = _graph_from_spec(args.graph)
-        with Estimator(n_jobs=args.jobs, clamp_to_host=False) as service:
-            service.estimate(
-                graph=graph,
-                algorithm=args.algorithm,
-                precision=Precision.default(),
-                seed=args.seed,
-                trace=True,
-                request_id="probe",
-                timeout=300,
-            )
-            trace = service.journal.last()
-        assert trace is not None
+    traces: list[ConvergenceTrace] = []
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                if isinstance(obj, dict) and "convergence" in obj:
+                    traces.append(ConvergenceTrace.from_json(obj["convergence"]))
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read {args.input}: {exc.strerror}")
+    if args.id is not None:
+        traces = [t for t in traces if t.request_id == args.id]
+    if not traces:
+        what = f"request id {args.id!r}" if args.id else "convergence traces"
+        raise SystemExit(
+            f"error: no {what} in {args.input} (did the requests set "
+            '"trace": true?)'
+        )
+    trace = traces[-1]
     if args.json:
         print(json.dumps(trace.to_json(), indent=2))
     else:
         print(_render_trace(trace))
 
 
-def _cmd_evidence(args: argparse.Namespace) -> None:
-    """Introspect (or purge) the cache's pooled evidence plane.
+def _newest_snapshot(path: str) -> dict:
+    """The newest stats snapshot in a ``--stats-file``; exits 1 if none."""
+    from .obs.health import load_stats_snapshot
 
-    Runs requests first so there is a plane to inspect: either the
-    JSON-lines file given with ``--requests`` (same schema as ``batch``)
-    or a small two-algorithm precision probe.  Then ``ls`` tabulates
-    every ``(graph, algorithm)`` pool, ``show`` dumps matching pools in
-    detail, and ``purge`` drops them (reporting the freed count).
-    """
-    from .service import Estimator, EstimateRequest, Precision
-
-    graph = _graph_from_spec(args.graph)
-    with Estimator(n_jobs=args.jobs, clamp_to_host=False) as service:
-        if args.requests:
-            try:
-                with open(args.requests, "r", encoding="utf-8") as fh:
-                    lines = fh.readlines()
-            except OSError as exc:
-                raise SystemExit(
-                    f"error: cannot read {args.requests}: {exc.strerror}"
-                )
-            for line in lines:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                request = EstimateRequest.from_json(json.loads(line))
-                service.estimate(request, timeout=300)
-        else:
-            for algorithm in (args.algorithm, "luby_fast"):
-                service.estimate(
-                    graph=graph,
-                    algorithm=algorithm,
-                    precision=Precision.default(),
-                    seed=args.seed,
-                    timeout=300,
-                )
-        rows = service.cache.evidence_entries()
-        if args.graph_hash:
-            rows = [r for r in rows if r["graph_hash"].startswith(args.graph_hash)]
-        if args.match_algorithm:
-            rows = [r for r in rows if r["algorithm"] == args.match_algorithm]
-        if args.evidence_command == "purge":
-            purged = 0
-            for r in rows:
-                purged += service.cache.purge_evidence(
-                    graph_hash=r["graph_hash"], algorithm_key=r["algorithm"]
-                )
-            print(f"purged {purged} evidence pool(s)")
-            return
-        if args.json:
-            print(json.dumps(rows, indent=2))
-            return
-        if not rows:
-            print("evidence plane is empty (no matching pools)")
-            return
-        if args.evidence_command == "show":
-            for r in rows:
-                print(f"graph hash : {r['graph_hash']}")
-                print(f"algorithm  : {r['algorithm']}")
-                print(f"trials     : {r['trials']} pooled over {r['nodes']} nodes")
-                print(f"resident   : {r['bytes']} bytes   dedup tags {r['tags']}")
-                print(f"age        : {r['age_s']:.1f}s since first deposit")
-                print(
-                    f"achievable : ±{r['achievable_halfwidth']:.4f} node CI "
-                    "half-width at 95% from the pool alone"
-                )
-                print()
-            return
-        print(
-            f"{'graph hash':<16} {'algorithm':<22} {'trials':>8} {'nodes':>7} "
-            f"{'bytes':>10} {'age s':>7} {'tags':>5} {'±hw@95%':>9}"
+    try:
+        snapshot = load_stats_snapshot(path)
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read {path}: {exc.strerror}")
+    if snapshot is None:
+        raise SystemExit(
+            f"error: no stats snapshots in {path} (run "
+            "serve/batch with --stats-every N --stats-file PATH)"
         )
+    return snapshot
+
+
+def _cmd_evidence(args: argparse.Namespace) -> None:
+    """Tabulate (``ls``) or dump (``show``) the pooled evidence plane.
+
+    The rows are the ``evidence`` entries of the newest snapshot in a
+    ``serve``/``batch`` ``--stats-file`` (one per ``(graph,
+    algorithm)`` pool, as :meth:`ResultCache.evidence_entries` reports
+    them).
+    """
+    snapshot = _newest_snapshot(args.stats_file)
+    rows = snapshot.get("evidence")
+    if rows is None:
+        raise SystemExit(
+            f"error: the newest snapshot in {args.stats_file} has no "
+            "evidence rows (only serve/batch --stats-file snapshots carry "
+            "them; a front end's do not)"
+        )
+    if args.graph_hash:
+        rows = [r for r in rows if r["graph_hash"].startswith(args.graph_hash)]
+    if args.match_algorithm:
+        rows = [r for r in rows if r["algorithm"] == args.match_algorithm]
+    if args.json:
+        print(json.dumps(rows, indent=2))
+        return
+    if not rows:
+        print("evidence plane is empty (no matching pools)")
+        return
+    if args.evidence_command == "show":
         for r in rows:
+            print(f"graph hash : {r['graph_hash']}")
+            print(f"algorithm  : {r['algorithm']}")
+            print(f"trials     : {r['trials']} pooled over {r['nodes']} nodes")
+            print(f"resident   : {r['bytes']} bytes   dedup tags {r['tags']}")
+            print(f"age        : {r['age_s']:.1f}s since first deposit")
             print(
-                f"{r['graph_hash'][:14] + '…':<16} {r['algorithm']:<22} "
-                f"{r['trials']:>8} {r['nodes']:>7} {r['bytes']:>10} "
-                f"{r['age_s']:>7.1f} {r['tags']:>5} "
-                f"{r['achievable_halfwidth']:>9.4f}"
+                f"achievable : ±{r['achievable_halfwidth']:.4f} node CI "
+                "half-width at 95% from the pool alone"
             )
+            print()
+        return
+    print(
+        f"{'graph hash':<16} {'algorithm':<22} {'trials':>8} {'nodes':>7} "
+        f"{'bytes':>10} {'age s':>7} {'tags':>5} {'±hw@95%':>9}"
+    )
+    for r in rows:
+        print(
+            f"{r['graph_hash'][:14] + '…':<16} {r['algorithm']:<22} "
+            f"{r['trials']:>8} {r['nodes']:>7} {r['bytes']:>10} "
+            f"{r['age_s']:>7.1f} {r['tags']:>5} "
+            f"{r['achievable_halfwidth']:>9.4f}"
+        )
 
 
 def _cmd_health(args: argparse.Namespace) -> None:
     """Evaluate the SLO health rules; exit 0 ok / 1 warn / 2 crit.
 
-    With ``--stats-file`` the newest snapshot in a ``serve``/``batch``
-    stats JSONL is judged (the CI-gate mode); without one a short
-    in-process probe exercises the precision, evidence, and cache paths
-    first so the rate rules have data.
+    Judges the newest snapshot in a ``serve``/``batch`` stats JSONL.
     """
-    from .obs.health import evaluate_health, load_stats_snapshot
+    from .obs.health import evaluate_health
 
-    if args.stats_file:
-        try:
-            snapshot = load_stats_snapshot(args.stats_file)
-        except OSError as exc:
-            raise SystemExit(
-                f"error: cannot read {args.stats_file}: {exc.strerror}"
-            )
-        if snapshot is None:
-            raise SystemExit(
-                f"error: no stats snapshots in {args.stats_file} (run "
-                "serve/batch with --stats-every N --stats-file PATH)"
-            )
-    else:
-        from .obs.dashboard import snapshot_from_registry
-        from .service import Estimator, Precision
-
-        graph = _graph_from_spec(args.graph)
-        with Estimator(n_jobs=args.jobs, clamp_to_host=False) as service:
-            for _ in range(2):  # repeat: second pass hits evidence + cache
-                service.estimate(
-                    graph=graph,
-                    algorithm=args.algorithm,
-                    precision=Precision.default(),
-                    seed=args.seed,
-                    timeout=300,
-                )
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    service.estimate(
-                        graph=graph,
-                        algorithm=args.algorithm,
-                        trials=64,
-                        seed=args.seed,
-                        mode="exact",
-                        timeout=300,
-                    )
-            snapshot = snapshot_from_registry(service.registry, service.counters)
+    snapshot = _newest_snapshot(args.stats_file)
     report = evaluate_health(snapshot, slo_ms=args.slo_ms)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
@@ -906,65 +735,30 @@ def _cmd_health(args: argparse.Namespace) -> None:
 def _cmd_trace(args: argparse.Namespace) -> None:
     """Export a span tree as Chrome trace-event / Perfetto JSON.
 
-    Two modes:
-
-    * **file mode** (``--input spans.jsonl``): read records captured by a
-      ``serve``/``batch`` run's ``--trace-file`` and export one trace
-      (``--trace-id``, default: the last one seen); ``--list`` prints the
-      available trace IDs instead.
-    * **probe mode** (default): install the in-process span collector,
-      run one precision request through a live Estimator (honoring
-      ``--jobs``/``--start-method``), and export that request's trace —
-      the one-command way to see the estimator → scheduler →
-      worker-chunk → engine-phase tree.
+    Reads the span records a ``serve``/``batch`` run captured with
+    ``--trace-file`` and exports one trace (``--trace-id``, default:
+    the last one seen); ``--list`` prints the available trace IDs
+    instead.
     """
-    from .obs.export import to_chrome_trace
+    from .obs.export import read_spans_jsonl, to_chrome_trace
 
-    if args.input:
-        from .obs.export import read_spans_jsonl
-
-        try:
-            records = read_spans_jsonl(args.input)
-        except OSError as exc:
-            raise SystemExit(f"error: cannot read {args.input}: {exc.strerror}")
-        trace_ids: list[str] = []
-        for r in records:
-            tid = r.get("trace_id")
-            if tid and tid not in trace_ids:
-                trace_ids.append(tid)
-        if args.list:
-            for tid in trace_ids:
-                n = sum(1 for r in records if r.get("trace_id") == tid)
-                print(f"{tid}  ({n} spans)")
-            return
-        trace_id = args.trace_id or (trace_ids[-1] if trace_ids else None)
-        if trace_id is None:
-            raise SystemExit(f"error: no span records in {args.input}")
-    else:
-        from .obs.export import install_collector, uninstall_collector
-        from .service import Estimator, Precision
-
-        graph = _graph_from_spec(args.graph)
-        collector = install_collector()
-        try:
-            # The probe's whole point is exercising the cross-process
-            # plane, so honor --jobs even on a small host.
-            with Estimator(
-                n_jobs=args.jobs,
-                context=args.start_method,
-                clamp_to_host=False,
-            ) as service:
-                handle = service.submit(
-                    graph=graph,
-                    algorithm=args.algorithm,
-                    precision=Precision.default(),
-                    seed=args.seed,
-                )
-                handle.result(timeout=300)
-                trace_id = handle.trace_id
-            records = collector.records()
-        finally:
-            uninstall_collector()
+    try:
+        records = read_spans_jsonl(args.input)
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read {args.input}: {exc.strerror}")
+    trace_ids: list[str] = []
+    for r in records:
+        tid = r.get("trace_id")
+        if tid and tid not in trace_ids:
+            trace_ids.append(tid)
+    if args.list:
+        for tid in trace_ids:
+            n = sum(1 for r in records if r.get("trace_id") == tid)
+            print(f"{tid}  ({n} spans)")
+        return
+    trace_id = args.trace_id or (trace_ids[-1] if trace_ids else None)
+    if trace_id is None:
+        raise SystemExit(f"error: no span records in {args.input}")
     doc = to_chrome_trace(records, trace_id)
     if not doc["traceEvents"]:
         raise SystemExit(f"error: no spans recorded for trace {trace_id}")
@@ -985,68 +779,30 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 def _cmd_top(args: argparse.Namespace) -> None:
     """Live terminal dashboard over service stats snapshots.
 
-    With ``--stats-file`` it tails the file a running ``serve``/``batch``
-    writes (start that side with ``--stats-every N --stats-file PATH``).
-    Without one it runs a short in-process probe — a few requests
-    against a multi-worker Estimator — and renders the resulting frame,
-    which is also what ``--once`` mode is for in CI.
+    Tails the ``--stats-file`` a running ``serve``/``batch`` writes
+    (start that side with ``--stats-every N --stats-file PATH``).
+    ``--once`` renders the frame of what the file already holds, and
+    exits 1 when it holds no snapshot; live tailing waits for one.
     """
-    from .obs.dashboard import TopDashboard, run_top, snapshot_from_registry
+    from .obs.dashboard import run_top
 
-    if args.stats_file:
-        try:
-            run_top(
-                args.stats_file,
-                interval=args.interval,
-                slo_ms=args.slo_ms,
-                slo_target=args.slo_target,
-                window_s=args.window,
-                once=args.once,
-            )
-        except FileNotFoundError:
-            raise SystemExit(f"error: no such stats file: {args.stats_file}")
-        except KeyboardInterrupt:
-            pass
-        return
-    from .service import Estimator, Precision
-
-    graph = _graph_from_spec(args.graph)
-    dash = TopDashboard(
-        slo_ms=args.slo_ms, slo_target=args.slo_target, window_s=args.window
-    )
-    with Estimator(n_jobs=args.jobs, clamp_to_host=False) as service:
-        served = 0
-        dash.update(
-            snapshot_from_registry(service.registry, service.counters, served)
+    if args.once:
+        _newest_snapshot(args.stats_file)
+    try:
+        run_top(
+            args.stats_file,
+            interval=args.interval,
+            slo_ms=args.slo_ms,
+            slo_target=args.slo_target,
+            window_s=args.window,
+            once=args.once,
         )
-        for _ in range(3):
-            service.estimate(
-                graph=graph,
-                algorithm=args.algorithm,
-                precision=Precision.default(),
-                seed=None,
-                timeout=300,
-            )
-            served += 1
-            dash.update(
-                snapshot_from_registry(
-                    service.registry, service.counters, served
-                )
-            )
-        sys.stdout.write(dash.render(ansi=False))
-        # Fleet-wide latency with worker/algorithm labels summed away —
-        # the aggregate the per-row dashboard view cannot show.
-        fleet = service.registry.quantiles(
-            "service_request_latency_seconds",
-            drop_labels=("worker", "algorithm"),
-        ).get("", {})
-        if fleet.get("count"):
-            sys.stdout.write(
-                f"fleet latency (all algorithms): "
-                f"p50 {_fmt_ms(_ms(fleet.get('p50')))}  "
-                f"p95 {_fmt_ms(_ms(fleet.get('p95')))}  "
-                f"p99 {_fmt_ms(_ms(fleet.get('p99')))}\n"
-            )
+    except OSError as exc:
+        raise SystemExit(
+            f"error: cannot read {args.stats_file}: {exc.strerror}"
+        )
+    except KeyboardInterrupt:
+        pass
 
 
 def _cmd_bench(args: argparse.Namespace) -> None:
@@ -1447,31 +1203,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_batch)
 
     p = sub.add_parser(
-        "stats", help="probe the service and print its metrics exposition"
-    )
-    p.add_argument("--graph", default="tree:63", help="probe graph spec")
-    p.add_argument("--algorithm", default="luby_fast")
-    p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
-    p.add_argument(
-        "--format",
-        choices=("prom", "json", "both"),
-        default="both",
-        help="exposition format: Prometheus text, JSON snapshot, or both",
-    )
-    p.set_defaults(fn=_cmd_stats)
-
-    p = sub.add_parser(
         "trace",
         help="export a span tree as Chrome trace-event / Perfetto JSON",
     )
     p.add_argument(
         "--input",
-        default=None,
+        required=True,
         metavar="PATH",
-        help="read span records from a --trace-file JSONL instead of "
-        "running an in-process probe",
+        help="span records from a serve/batch --trace-file (JSON lines)",
     )
     p.add_argument(
         "--trace-id",
@@ -1482,17 +1221,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list",
         action="store_true",
         help="list trace IDs found in --input and exit",
-    )
-    p.add_argument("--graph", default="tree:63", help="probe graph spec")
-    p.add_argument("--algorithm", default="luby_fast")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=2, help=jobs_help)
-    p.add_argument(
-        "--start-method",
-        choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="multiprocessing start method for the probe pool "
-        "(default: REPRO_MP_START or the platform's)",
     )
     p.add_argument(
         "--out",
@@ -1507,11 +1235,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--stats-file",
-        default=None,
+        required=True,
         metavar="PATH",
         help="tail this JSONL stats file (from serve/batch "
-        "--stats-every N --stats-file PATH); omit to run an "
-        "in-process probe",
+        "--stats-every N --stats-file PATH)",
     )
     p.add_argument(
         "--interval",
@@ -1542,9 +1269,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="render a single plain frame and exit (scripting/CI mode)",
     )
-    p.add_argument("--graph", default="tree:63", help="probe graph spec")
-    p.add_argument("--algorithm", default="luby_fast")
-    p.add_argument("--jobs", type=int, default=2, help=jobs_help)
     p.set_defaults(fn=_cmd_top)
 
     p = sub.add_parser(
@@ -1554,42 +1278,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--input",
-        default=None,
+        required=True,
         metavar="PATH",
-        help="read result lines from a serve/batch output file instead of "
-        'running a probe (the requests must have set "trace": true)',
+        help="result lines from a serve/batch run (the requests must "
+        'have set "trace": true)',
     )
     p.add_argument(
         "--id",
         default=None,
         help="explain the trace with this request id (default: the last "
-        "trace in --input, or the probe request)",
+        "trace in --input)",
     )
-    p.add_argument("--graph", default="tree:120", help="probe graph spec")
-    p.add_argument("--algorithm", default="fair_tree_fast")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
     p.add_argument(
         "--json", action="store_true", help="machine-readable trace JSON"
     )
     p.set_defaults(fn=_cmd_explain)
 
     p = sub.add_parser(
-        "evidence", help="introspect or purge the pooled evidence plane"
+        "evidence", help="list the pooled evidence plane in a stats file"
     )
     esub = p.add_subparsers(dest="evidence_command", required=True)
     for ename, ehelp in (
         ("ls", "tabulate every (graph, algorithm) evidence pool"),
         ("show", "dump matching pools in detail"),
-        ("purge", "drop matching pools (dedup tags go with them)"),
     ):
         e = esub.add_parser(ename, help=ehelp)
         e.add_argument(
-            "--requests",
-            default=None,
+            "--stats-file",
+            required=True,
             metavar="PATH",
-            help="JSON-lines request file to run first (same schema as "
-            "batch); default: a small two-algorithm precision probe",
+            help="read the newest snapshot in this stats JSONL (from "
+            "serve/batch --stats-every N --stats-file PATH)",
         )
         e.add_argument(
             "--graph-hash",
@@ -1602,10 +1321,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY",
             help="only pools with this exact algorithm key",
         )
-        e.add_argument("--graph", default="tree:120", help="probe graph spec")
-        e.add_argument("--algorithm", default="fair_tree_fast")
-        e.add_argument("--seed", type=int, default=0)
-        e.add_argument("--jobs", type=int, default=1, help=jobs_help)
         e.add_argument(
             "--json", action="store_true", help="machine-readable rows"
         )
@@ -1617,11 +1332,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--stats-file",
-        default=None,
+        required=True,
         metavar="PATH",
         help="judge the newest snapshot in this stats JSONL (from "
-        "serve/batch --stats-every N --stats-file PATH); omit to run "
-        "an in-process probe",
+        "serve/batch --stats-every N --stats-file PATH)",
     )
     p.add_argument(
         "--slo-ms",
@@ -1629,10 +1343,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=250.0,
         help="latency SLO driving the p99 thresholds (default 250)",
     )
-    p.add_argument("--graph", default="tree:120", help="probe graph spec")
-    p.add_argument("--algorithm", default="fair_tree_fast")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
     p.add_argument(
         "--json", action="store_true", help="machine-readable report"
     )

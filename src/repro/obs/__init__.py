@@ -27,9 +27,9 @@ One subsystem, three signals, shared context:
   live ``python -m repro top`` terminal view.
 
 :mod:`repro.obs.bridge` feeds the engines' round/message/slot
-measurements into the same histograms, so ``python -m repro stats`` and
-``python -m repro serve --stats-every N`` expose the paper's round
-distributions alongside request latency and cache behavior.  See
+measurements into the same histograms, so ``python -m repro serve
+--stats-every N`` exposes the paper's round distributions alongside
+request latency and cache behavior.  See
 ``docs/OBSERVABILITY.md``.
 
 :func:`set_enabled(False) <set_enabled>` is the global kill switch; the

@@ -1,8 +1,7 @@
 """The ``repro top`` live terminal dashboard.
 
 Consumes the JSON stats snapshots the service emits (``--stats-every`` /
-``--stats-file`` on ``serve``/``batch``, or an in-process registry probe)
-and renders a refreshing ANSI frame: per-worker utilization, dispatcher
+``--stats-file`` on ``serve``/``batch``) and renders a refreshing ANSI frame: per-worker utilization, dispatcher
 queue depth, cache/evidence hit rates, request-latency percentiles, and
 SLO budget burn against a configurable latency target.
 
@@ -58,9 +57,9 @@ def snapshot_from_registry(
 ) -> dict[str, Any]:
     """Build a stats-event-shaped snapshot from a live registry.
 
-    Produces the same document ``repro serve --stats-every`` writes, so
-    the dashboard renders identically from a file tail and from an
-    in-process probe.
+    The base of the document ``repro serve --stats-every`` writes (the
+    service loop adds ``latency_ms`` and ``evidence``) and of the front
+    end's snapshots.
     """
     snapshot: dict[str, Any] = {
         "event": "stats",

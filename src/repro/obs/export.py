@@ -5,8 +5,7 @@ dict records (:func:`repro.obs.spans.register_span_sink`); this module
 provides the consumers:
 
 * :class:`SpanCollector` — a bounded in-memory ring buffer, queryable by
-  trace ID.  :func:`install_collector` registers a process-global one
-  (what the in-process ``repro trace`` probe and ``repro top`` use).
+  trace ID.  :func:`install_collector` registers a process-global one.
 * :class:`JsonlSpanSink` — an append-only JSON-lines file sink (the
   ``--trace-file`` option on ``serve``/``batch``), flushed per record so
   a killed process loses at most the record being written.

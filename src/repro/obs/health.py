@@ -4,8 +4,8 @@ The metrics registry answers "what is the value of X"; this module
 answers the operator's actual question — "is the service healthy?" — by
 evaluating a small set of threshold rules against one stats snapshot
 (the ``{"event": "stats", ...}`` document ``repro serve/batch
---stats-every`` writes, or an in-process
-:func:`~repro.obs.dashboard.snapshot_from_registry` probe).
+--stats-every`` writes, built by
+:func:`~repro.obs.dashboard.snapshot_from_registry`).
 
 Each :class:`HealthRule` names a quantity, how to extract it from the
 snapshot, and warn/crit thresholds with a direction (``above`` — big is
@@ -22,7 +22,7 @@ the per-rule statuses to highlight unhealthy rows, and reads stats
 files through the same :func:`iter_stats`.  Latency percentiles come
 from :func:`~repro.obs.metrics.merged_buckets` and
 :func:`~repro.obs.metrics.bucket_quantile`, the interpolation
-``repro stats`` and ``repro top`` use too.
+``repro top`` uses too.
 """
 
 from __future__ import annotations

@@ -579,8 +579,8 @@ class MetricsRegistry:
 
         Returns ``{label_key: {"count", "mean", "p50", ...}}`` with one
         ``p<percentile>`` entry per requested quantile (``0.5`` → ``p50``,
-        ``0.99`` → ``p99``) — the compact view ``repro stats`` and the
-        ``--stats-every`` snapshots surface instead of raw bucket dumps.
+        ``0.99`` → ``p99``) — the compact view the ``--stats-every``
+        snapshots surface instead of raw bucket dumps.
         Children whose labels differ only in *drop_labels* are summed
         bucket-wise first (exact counts and sums), so
         ``drop_labels=("worker",)`` gives fleet-wide percentiles rather

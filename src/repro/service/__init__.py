@@ -17,7 +17,7 @@ The production-facing serving layer over the Monte-Carlo engines:
   one resident :class:`~repro.analysis.montecarlo.WorkerSet`.
 
 See ``docs/SERVICE.md`` for the architecture and request JSON schema,
-``docs/API.md`` for the v2 request lifecycle and migration guide.
+``docs/API.md`` for the v2 request lifecycle and how v1 and v2 relate.
 """
 
 from .cache import ResultCache, cache_key, evidence_key

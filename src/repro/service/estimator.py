@@ -25,7 +25,6 @@ cancels them and terminates workers immediately.
 from __future__ import annotations
 
 import os
-import warnings
 from collections import deque
 from typing import Any, Mapping
 
@@ -184,24 +183,15 @@ class Estimator:
         """Submit a request (non-blocking); returns a :class:`RequestHandle`.
 
         Pass either a prebuilt :class:`EstimateRequest` or the keyword
-        fields of one.  ``precision=`` is the v2 surface — the scheduler
-        runs trial rounds until the target CI closes (seeding from
-        cached evidence) instead of burning a fixed budget.  ``trials=``
-        alone is the deprecated fixed-budget mode (a
-        ``DeprecationWarning`` is raised); passed alongside
-        ``precision=`` it overrides the target's hard cap.  With neither
-        given, :meth:`Precision.default` applies.
+        fields of one.  ``trials=`` alone is the v1 fixed budget, the
+        paper's protocol: exactly that many trials, bit-identical exact
+        counts, an exact-key cache.  ``precision=`` is the v2 target —
+        the scheduler runs trial rounds until the CI closes (seeding
+        from cached evidence); passed alongside it, ``trials=``
+        overrides the target's hard cap.  With neither given,
+        :meth:`Precision.default` applies.
         """
         if request is None:
-            if trials is not None and precision is None:
-                warnings.warn(
-                    "fixed trial budgets (trials= without precision=) are "
-                    "deprecated; pass precision=Precision(...) to target a "
-                    "confidence interval, optionally keeping trials= as the "
-                    "hard cap (see docs/API.md)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
             if trials is None and precision is None:
                 precision = Precision.default()
             request = EstimateRequest(

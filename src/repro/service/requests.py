@@ -9,10 +9,9 @@ lines, and library callers can build it directly.
 (cache/coalescing provenance, resolved executor mode, latency, realized
 trials).
 
-Two request generations coexist (see ``docs/API.md`` for the migration
-table):
+Two request generations coexist (see ``docs/API.md``, "v1 and v2"):
 
-* **v2 (precision-targeted, preferred)** — the request carries a
+* **v2 (precision target)** — the request carries a
   :class:`~repro.service.precision.Precision` target and the scheduler
   runs trial rounds until the confidence interval closes (sequential
   stopping with a hard cap), seeding from cached evidence::
@@ -22,18 +21,17 @@ table):
        "precision": {"node_ci": 0.025, "confidence": 0.95,
                      "max_trials": 20000}}
 
-* **v1 (fixed budget, deprecated)** — a bare ``trials`` count::
+* **v1 (fixed budget)** — a bare ``trials`` count, the paper's
+  protocol::
 
       {"id": "r1", "graph": "tree:500:1", "algorithm": "fair_tree_fast",
        "trials": 2000, "seed": 0, "mode": "auto", "params": {}}
 
-  v1 keeps working (bit-identical exact-mode results, exact-key result
-  caching) but is deprecated; the serve/batch loop logs the deprecation
-  once per connection and ``Estimator.submit(trials=...)`` raises a
-  ``DeprecationWarning``.
+  Exactly that many trials run; exact-mode counts are bit-identical to
+  ``run_trials`` and results are cached under their exact key.
 
 When both ``trials`` and ``precision`` are given, ``trials`` acts as the
-hard cap override (the natural migration stepping stone).
+hard cap override.
 """
 
 from __future__ import annotations
@@ -67,8 +65,8 @@ class EstimateRequest:
 
     Exactly one of ``graph`` (a built :class:`StaticGraph`) or
     ``graph_spec`` (a ``kind:arg`` string, see :mod:`repro.graphs.spec`)
-    must be provided, and at least one of ``trials`` (deprecated fixed
-    budget) or ``precision`` (v2 target).  ``seed`` defaults to 0 so
+    must be provided, and at least one of ``trials`` (v1 fixed budget)
+    or ``precision`` (v2 target).  ``seed`` defaults to 0 so
     identical requests are deterministic and cacheable; pass
     ``seed=None`` for fresh entropy (fixed-budget seedless requests
     bypass the result cache, and an identical seedless request already
@@ -91,7 +89,7 @@ class EstimateRequest:
             raise ValueError("algorithm name must be non-empty")
         if self.trials is None and self.precision is None:
             raise ValueError(
-                "provide trials= (deprecated fixed budget) and/or "
+                "provide trials= (fixed budget) and/or "
                 "precision= (v2 target)"
             )
         if self.trials is not None and self.trials <= 0:

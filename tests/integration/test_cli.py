@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -289,41 +291,183 @@ class TestServeErrorCodes:
         assert "engine fault" in payload["error"]
 
 
-class TestStatsCommand:
-    def test_stats_both_formats(self, capsys):
-        assert main(["stats", "--trials", "16"]) == 0
+PROBE = Path(__file__).resolve().parents[2] / "examples" / "probe.jsonl"
+
+
+@pytest.fixture(scope="module")
+def probe_files(tmp_path_factory):
+    """The stats, span and result files of one ``batch`` run of the
+    operator probe, ``examples/probe.jsonl``."""
+    root = tmp_path_factory.mktemp("probe")
+    files = {
+        "stats": str(root / "stats.jsonl"),
+        "spans": str(root / "spans.jsonl"),
+        "results": str(root / "results.jsonl"),
+    }
+    argv = [
+        "batch", "--input", str(PROBE), "--jobs", "2", "--stats-every", "1",
+        "--stats-file", files["stats"], "--trace-file", files["spans"],
+        "--output", files["results"],
+    ]
+    assert main(argv) == 0
+    return files
+
+
+class TestOperatorReaders:
+    """``top``, ``health``, ``trace``, ``explain`` and ``evidence`` read
+    the files a ``batch`` run of the probe writes."""
+
+    def test_probe_results(self, probe_files):
+        with open(probe_files["results"], encoding="utf-8") as fh:
+            results = {r["id"]: r for r in map(json.loads, fh)}
+        assert list(results) == ["exact", "exact-again", "warm", "cold"]
+        assert results["exact-again"]["cached"] is True
+        assert results["warm"]["prior_trials"] == 64
+        assert "convergence" in results["cold"]
+
+    def test_stats_lines_carry_evidence_rows(self, probe_files):
+        with open(probe_files["stats"], encoding="utf-8") as fh:
+            stats = [json.loads(line) for line in fh]
+        assert [s["requests_served"] for s in stats] == [1, 2, 3, 4]
+        for snapshot in stats:
+            assert {"counters", "latency_ms", "metrics", "evidence"} <= set(
+                snapshot
+            )
+        assert len(stats[-1]["evidence"]) == 2
+
+    def test_top_once_lists_worker_rows(self, probe_files, capsys):
+        assert main(["top", "--stats-file", probe_files["stats"], "--once"]) == 0
+        frame = capsys.readouterr().out
+        assert "repro top" in frame
+        assert "\n  pid:" in frame
+
+    def test_health_is_ok(self, probe_files, capsys):
+        argv = ["health", "--stats-file", probe_files["stats"], "--slo-ms", "2000"]
+        assert main(argv) == 0
+        assert "health: ok" in capsys.readouterr().out
+
+    def test_trace_exports_one_connected_tree(self, probe_files, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        assert main(["trace", "--input", probe_files["spans"], "--out", str(out)]) == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        ids = {e["args"]["span_id"] for e in events}
+        roots = [e for e in events if not e["args"]["parent_id"]]
+        orphans = [
+            e for e in events
+            if e["args"]["parent_id"] and e["args"]["parent_id"] not in ids
+        ]
+        assert len(roots) == 1, [e["name"] for e in roots]
+        assert not orphans, [e["name"] for e in orphans]
+        # batch --jobs 2 clamps to the host's cores; one core runs inline.
+        assert len({e["pid"] for e in events}) >= min(2, os.cpu_count() or 1)
+
+    def test_trace_list_names_every_request(self, probe_files, capsys):
+        assert main(["trace", "--input", probe_files["spans"], "--list"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_explain_renders_the_cold_request(self, probe_files, capsys):
+        assert main(["explain", "--input", probe_files["results"]]) == 0
         out = capsys.readouterr().out
-        # Prometheus text exposition: counters plus the three headline
-        # histograms.
-        # 2 exact requests + 2 precision requests probe both planes.
-        assert "# TYPE service_requests_total counter" in out
-        assert "service_requests_total 4" in out
-        assert "service_request_latency_seconds_bucket" in out
-        assert "service_trials_per_chunk_bucket" in out
-        assert 'trial_rounds_bucket{algorithm="luby_fast"' in out
-        # JSON snapshot follows and parses
-        json_part = out[out.index('{\n  "counters"'):]
-        doc = json.loads(json_part)
-        assert doc["counters"]["trials_executed"] >= 16
-        assert doc["counters"]["cache_hits"] == 1
-        assert doc["counters"]["precision_requests"] == 2
-        assert "trial_rounds" in doc["metrics"]["histograms"]
+        assert "request    : cold" in out
+        assert "stop reason" in out
+        rounds = [
+            line.split() for line in out.splitlines()
+            if line.split() and line.split()[0].isdigit()
+        ]
+        assert [int(r[0]) for r in rounds] == list(range(1, len(rounds) + 1))
+        assert rounds[-1][-1] in ("satisfied", "capped")
 
-    def test_stats_json_only(self, capsys):
-        assert main(["stats", "--trials", "8", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["counters"]["requests"] == 4
-        hists = doc["metrics"]["histograms"]
-        assert "service_request_latency_seconds" in hists
-        assert "service_trials_per_chunk" in hists
-        assert "trial_rounds" in hists
+    def test_explain_unknown_id_exits(self, probe_files):
+        argv = ["explain", "--input", probe_files["results"], "--id", "exact"]
+        with pytest.raises(SystemExit, match="no request id 'exact'"):
+            main(argv)
 
-    def test_stats_prom_only(self, capsys):
-        assert main(["stats", "--trials", "8", "--format", "prom"]) == 0
+    def test_evidence_ls_lists_both_pools_and_filters(self, probe_files, capsys):
+        stats = probe_files["stats"]
+        assert main(["evidence", "ls", "--stats-file", stats, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        by_alg = {r["algorithm"]: r for r in rows}
+        assert sorted(by_alg) == ["fair_tree_fast", "luby_fast"]
+        assert by_alg["luby_fast"]["trials"] > 64  # exact run + warm v2 run
+
+        argv = ["evidence", "ls", "--stats-file", stats, "--json",
+                "--match-algorithm", "luby_fast"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == [by_alg["luby_fast"]]
+
+        prefix = by_alg["fair_tree_fast"]["graph_hash"][:12]
+        argv = ["evidence", "ls", "--stats-file", stats, "--json",
+                "--graph-hash", prefix]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == [by_alg["fair_tree_fast"]]
+
+    def test_evidence_show_and_table(self, probe_files, capsys):
+        stats = probe_files["stats"]
+        assert main(["evidence", "show", "--stats-file", stats,
+                     "--match-algorithm", "fair_tree_fast"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("# HELP")
-        assert "{" not in out.splitlines()[-2] or "le=" in out  # no JSON tail
+        assert out.count("graph hash :") == 1 and "fair_tree_fast" in out
+        assert main(["evidence", "ls", "--stats-file", stats]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[0].startswith("graph hash") and len(table) == 3
+        assert main(["evidence", "ls", "--stats-file", stats,
+                     "--match-algorithm", "luby"]) == 0
+        assert "no matching pools" in capsys.readouterr().out
 
-    def test_stats_bad_graph_exits(self):
-        with pytest.raises(SystemExit):
-            main(["stats", "--graph", "donut:5"])
+
+READERS = {
+    "top": lambda path: ["top", "--stats-file", path],
+    "top-once": lambda path: ["top", "--stats-file", path, "--once"],
+    "health": lambda path: ["health", "--stats-file", path],
+    "evidence": lambda path: ["evidence", "ls", "--stats-file", path],
+    "trace": lambda path: ["trace", "--input", path],
+    "explain": lambda path: ["explain", "--input", path],
+}
+
+
+class TestOperatorReaderErrors:
+    """Every reader answers a bad path the same way: exit 1 with a
+    one-line message, no traceback."""
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_missing_file(self, reader, tmp_path):
+        path = str(tmp_path / "absent.jsonl")
+        with pytest.raises(SystemExit) as exc_info:
+            main(READERS[reader](path))
+        assert exc_info.value.code == (
+            f"error: cannot read {path}: No such file or directory"
+        )
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_directory(self, reader, tmp_path):
+        with pytest.raises(SystemExit) as exc_info:
+            main(READERS[reader](str(tmp_path)))
+        assert exc_info.value.code == (
+            f"error: cannot read {tmp_path}: Is a directory"
+        )
+
+    @pytest.mark.parametrize("reader", ["top-once", "health", "evidence"])
+    def test_stats_file_without_snapshots(self, reader, tmp_path):
+        path = tmp_path / "stats.jsonl"
+        path.write_text('{"event": "log"}\nnot json\n', encoding="utf-8")
+        with pytest.raises(SystemExit) as exc_info:
+            main(READERS[reader](str(path)))
+        assert str(exc_info.value.code).startswith(
+            f"error: no stats snapshots in {path}"
+        )
+
+    def test_evidence_needs_evidence_rows(self, tmp_path):
+        # A front end's stats snapshot has no evidence plane of its own.
+        path = tmp_path / "stats.jsonl"
+        path.write_text('{"event": "stats", "metrics": {}}\n', encoding="utf-8")
+        with pytest.raises(SystemExit, match="has no evidence rows"):
+            main(READERS["evidence"](str(path)))
+
+    @pytest.mark.parametrize(
+        "argv", [["stats"], ["evidence", "purge"]], ids=["stats", "purge"]
+    )
+    def test_removed_commands_do_not_parse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -434,7 +434,7 @@ class TestWorkerSet:
             """
         )
         run = subprocess.run(
-            [sys.executable, "-W", "ignore::DeprecationWarning", "-c", code],
+            [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             timeout=300,

@@ -118,11 +118,15 @@ class TestStoppingRule:
 
 
 class TestDeprecation:
-    def test_trials_only_warns(self):
+    """No request shape warns: the v1 fixed budget is first-class."""
+
+    def test_trials_only_does_not_warn(self):
         with Estimator(n_jobs=1) as svc:
-            with pytest.warns(DeprecationWarning, match="fixed trial budgets"):
-                svc.estimate(graph_spec="path:4", algorithm="luby_fast",
-                             trials=16, seed=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                result = svc.estimate(graph_spec="path:4",
+                                      algorithm="luby_fast", trials=16, seed=0)
+        assert result.estimate.trials == 16
 
     def test_precision_does_not_warn(self):
         with Estimator(n_jobs=1) as svc:
@@ -196,9 +200,8 @@ class TestSequentialStopping:
 class TestEvidenceReuse:
     def test_fixed_run_seeds_precision_request(self):
         with Estimator(n_jobs=1) as svc:
-            with pytest.warns(DeprecationWarning):
-                svc.estimate(graph_spec="path:4", algorithm="luby_fast",
-                             trials=500, seed=0)
+            svc.estimate(graph_spec="path:4", algorithm="luby_fast",
+                         trials=500, seed=0)
             warm = svc.estimate(
                 graph_spec="path:4", algorithm="luby_fast",
                 precision=Precision(node_ci=0.05), seed=1,
@@ -235,9 +238,8 @@ class TestEvidenceReuse:
         # the evidence pool with correlated samples.
         with Estimator(n_jobs=1) as svc:
             for _ in range(2):
-                with pytest.warns(DeprecationWarning):
-                    svc.estimate(graph_spec="path:4", algorithm="luby_fast",
-                                 trials=64, seed=0)
+                svc.estimate(graph_spec="path:4", algorithm="luby_fast",
+                             trials=64, seed=0)
             graph_hash = svc.records[-1].graph_hash
             key = EstimateRequest(
                 graph_spec="path:4", algorithm="luby_fast", trials=64, seed=0
@@ -297,7 +299,7 @@ class TestWireProtocol:
         )
         assert req.precision == Precision.default()
 
-    def test_serve_loop_notes_v1_once_per_connection(self, capsys):
+    def test_serve_loop_serves_v1_without_a_note(self, capsys):
         lines = [
             json.dumps({"graph": "path:4", "algorithm": "luby_fast",
                         "trials": 16, "seed": 1}),
@@ -325,8 +327,9 @@ class TestWireProtocol:
         )
         assert errors == 0
         captured = capsys.readouterr()
-        assert captured.err.count("v1 fixed-trial requests") == 1
+        assert "v1" not in captured.err and "deprecat" not in captured.err
         results = [json.loads(line) for line in sink.lines]
+        assert [r["trials"] for r in results[:2]] == [16, 16]
         assert results[2]["v"] == 2
         assert "realized_trials" in results[2]
 
