@@ -269,13 +269,16 @@ def test_estimator_cache_serves_repeat_requests():
         first = svc.estimate(
             graph=graph, algorithm="luby_fast", trials=2000, seed=0
         )
-        before = svc.counters.snapshot()
+        total = svc.registry.counter
+        hits, trials = (
+            total("service_cache_hits_total").value,
+            total("service_trials_executed_total").value,
+        )
         again = svc.estimate(
             graph=graph, algorithm="luby_fast", trials=2000, seed=0
         )
-        after = svc.counters.snapshot()
     assert not first.cached and again.cached
     assert again.trials_run == 0
-    assert after["cache_hits"] == before["cache_hits"] + 1
-    assert after["trials_executed"] == before["trials_executed"]
+    assert total("service_cache_hits_total").value == hits + 1
+    assert total("service_trials_executed_total").value == trials
     assert np.array_equal(again.estimate.counts, first.estimate.counts)

@@ -75,7 +75,6 @@ from .obs import (
     span,
     use_profiler,
 )
-from .runtime.metrics import RequestRecord, ServiceCounters
 from .service import (
     PROTOCOL_VERSIONS,
     BatchScheduler,
@@ -116,8 +115,6 @@ __all__ = [
     "PROTOCOL_VERSIONS",
     "BatchScheduler",
     "ResultCache",
-    "ServiceCounters",
-    "RequestRecord",
     # observability
     "MetricsRegistry",
     "default_registry",

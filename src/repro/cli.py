@@ -44,7 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import IO, Iterable
 
 import numpy as np
@@ -229,10 +229,10 @@ def _service_loop(
     schema violations never raise — each comes back as a structured
     per-line error object in the request's protocol shape
     (:mod:`repro.frontend.protocol`).  With ``stats_every=N`` a one-line
-    JSON stats snapshot (counters, request-latency percentiles, the
-    evidence plane's rows and the full metrics-registry snapshot) is
-    written after every N served requests — what ``repro top``,
-    ``health`` and ``evidence`` read.
+    JSON stats snapshot (the full metrics-registry snapshot, request-
+    latency percentiles and the evidence plane's rows) is written after
+    every N served requests — what ``repro top``, ``health`` and
+    ``evidence`` read.
     Snapshots go to *stats_stream* when given (``--stats-file``,
     JSON-lines), otherwise to stderr.
     """
@@ -277,18 +277,19 @@ def _service_loop(
             out.flush()
             served += 1
             if stats_every and served % stats_every == 0:
-                snapshot = snapshot_from_registry(
-                    service.registry, service.counters, served
-                )
+                snapshot = snapshot_from_registry(service.registry, served)
                 snapshot["latency_ms"] = _latency_summary(service.registry)
                 snapshot["evidence"] = service.cache.evidence_entries()
                 target = stats_stream if stats_stream is not None else sys.stderr
                 target.write(json.dumps(snapshot) + "\n")
                 target.flush()
-        stats = service.counters.snapshot()
+        requests, hits, trials = (
+            int(service.registry.counter(f"service_{name}_total").value)
+            for name in ("requests", "cache_hits", "trials_executed")
+        )
     print(
-        "service: {requests} requests, {cache_hits} cache hits, "
-        "{trials_executed} trials executed".format(**stats),
+        f"service: {requests} requests, {hits} cache hits, "
+        f"{trials} trials executed",
         file=sys.stderr,
     )
     return errors
@@ -302,18 +303,27 @@ def _configure_service_logging(args: argparse.Namespace) -> None:
         configure_logging(stream=sys.stderr, level=args.log_level)
 
 
+def _open_for_write(path: str, mode: str = "w") -> IO[str]:
+    """Open an output file, or exit 1 with ``error: cannot open PATH``."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot open {path}: {exc.strerror}")
+
+
 @contextmanager
 def _stats_stream(args: argparse.Namespace):
-    """Open ``--stats-file`` (append-mode JSON lines), or yield ``None``."""
+    """Open ``--stats-file`` (append-mode JSON lines), or yield ``None``.
+
+    Only the open is reported as ``cannot open``: an ``OSError`` the
+    command raises while the file is open propagates unchanged.
+    """
     path = getattr(args, "stats_file", None)
     if not path:
         yield None
         return
-    try:
-        with open(path, "a", encoding="utf-8") as fh:
-            yield fh
-    except OSError as exc:
-        raise SystemExit(f"error: cannot open {path}: {exc.strerror}")
+    with _open_for_write(path, "a") as fh:
+        yield fh
 
 
 @contextmanager
@@ -525,34 +535,25 @@ def _cmd_batch(args: argparse.Namespace) -> None:
             lines = fh.readlines()
     except OSError as exc:
         raise SystemExit(f"error: cannot read {args.input}: {exc.strerror}")
-    with _stats_stream(args) as stats_stream, _trace_sink(
+    output = (
+        nullcontext(sys.stdout)
+        if args.output == "-"
+        else _open_for_write(args.output)
+    )
+    with output as out, _stats_stream(args) as stats_stream, _trace_sink(
         args
     ) as trace_sink, _flush_on_signals(stats_stream, trace_sink):
-        if args.output == "-":
-            errors = _service_loop(
-                lines,
-                sys.stdout,
-                jobs=args.jobs,
-                cache_size=args.cache_size,
-                mode=args.mode,
-                include_counts=not args.no_counts,
-                stats_every=args.stats_every,
-                stats_stream=stats_stream,
-                max_line_bytes=args.max_line_bytes,
-            )
-        else:
-            with open(args.output, "w", encoding="utf-8") as out:
-                errors = _service_loop(
-                    lines,
-                    out,
-                    jobs=args.jobs,
-                    cache_size=args.cache_size,
-                    mode=args.mode,
-                    include_counts=not args.no_counts,
-                    stats_every=args.stats_every,
-                    stats_stream=stats_stream,
-                    max_line_bytes=args.max_line_bytes,
-                )
+        errors = _service_loop(
+            lines,
+            out,
+            jobs=args.jobs,
+            cache_size=args.cache_size,
+            mode=args.mode,
+            include_counts=not args.no_counts,
+            stats_every=args.stats_every,
+            stats_stream=stats_stream,
+            max_line_bytes=args.max_line_bytes,
+        )
     if errors:
         raise SystemExit(1)
 
@@ -766,7 +767,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     if args.out == "-":
         print(payload)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_for_write(args.out) as fh:
             fh.write(payload + "\n")
         print(
             f"wrote {args.out} ({len(doc['traceEvents'])} spans, "

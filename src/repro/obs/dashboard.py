@@ -53,7 +53,7 @@ ANSI_REFRESH = "\x1b[2J\x1b[H"
 
 
 def snapshot_from_registry(
-    registry, counters=None, requests_served: int | None = None
+    registry, requests_served: int | None = None
 ) -> dict[str, Any]:
     """Build a stats-event-shaped snapshot from a live registry.
 
@@ -66,8 +66,6 @@ def snapshot_from_registry(
         "ts": time.time(),
         "metrics": registry.snapshot(),
     }
-    if counters is not None:
-        snapshot["counters"] = counters.snapshot()
     if requests_served is not None:
         snapshot["requests_served"] = requests_served
     return snapshot
@@ -160,27 +158,6 @@ class TopDashboard:
         if point is None:
             return {}
         return point.get("metrics", {}).get(kind, {}).get(name, {})
-
-    def _counter_rate(self, oldest, newest, field: str) -> float | None:
-        if newest is None or oldest is None:
-            return None
-        dt = float(newest["ts"]) - float(oldest["ts"])
-        if dt <= 0:
-            return None
-        new_c = newest.get("counters", {}).get(field)
-        old_c = oldest.get("counters", {}).get(field)
-        if new_c is None or old_c is None:
-            return None
-        return max(0.0, (new_c - old_c) / dt)
-
-    def _hit_rate(self, newest, hits_field: str, misses_field: str) -> float | None:
-        if newest is None:
-            return None
-        counters = newest.get("counters", {})
-        hits, misses = counters.get(hits_field), counters.get(misses_field)
-        if hits is None or misses is None or hits + misses == 0:
-            return None
-        return hits / (hits + misses)
 
     def workers(self) -> list[dict[str, Any]]:
         """Per-worker utilization over the window.
@@ -321,7 +298,7 @@ class TopDashboard:
             return (ANSI_REFRESH if ansi else "") + "\n".join(lines) + "\n"
         ts = time.strftime("%H:%M:%S", time.localtime(float(newest["ts"])))
         served = newest.get("requests_served")
-        rate = self._counter_rate(oldest, newest, "requests")
+        rate = self._registry_rate(oldest, newest, "service_requests_total")
         lines.append(
             f"repro top — {ts}   requests: "
             f"{served if served is not None else '-'}"
@@ -346,8 +323,8 @@ class TopDashboard:
             )
         )
         queue = self.queue_depth()
-        cache = self._hit_rate(newest, "cache_hits", "cache_misses")
-        evidence = self._hit_rate(newest, "evidence_hits", "evidence_misses")
+        cache = health.value_of("cache_hit_rate")
+        evidence = health.value_of("evidence_hit_rate")
         lines.append(
             _highlight(
                 f"queue depth {_fmt(queue, '{:.0f}')}"

@@ -5,7 +5,10 @@ answers the operator's actual question — "is the service healthy?" — by
 evaluating a small set of threshold rules against one stats snapshot
 (the ``{"event": "stats", ...}`` document ``repro serve/batch
 --stats-every`` writes, built by
-:func:`~repro.obs.dashboard.snapshot_from_registry`).
+:func:`~repro.obs.dashboard.snapshot_from_registry`).  Every quantity
+is read from the snapshot's ``metrics`` block, the registry's own
+snapshot: the service's lifetime totals are its ``service_*_total``
+counter families there, present at 0 from the service's start.
 
 Each :class:`HealthRule` names a quantity, how to extract it from the
 snapshot, and warn/crit thresholds with a direction (``above`` — big is
@@ -17,9 +20,10 @@ fail on silence.
 :func:`evaluate_health` returns a :class:`HealthReport` whose
 ``exit_code`` follows the Nagios convention the CLI exposes —
 ``repro health`` exits 0 (ok) / 1 (warn) / 2 (crit) so CI can gate on
-it directly.  ``repro top`` evaluates the same rules per frame and uses
-the per-rule statuses to highlight unhealthy rows, and reads stats
-files through the same :func:`iter_stats`.  Latency percentiles come
+it directly.  ``repro top`` evaluates the same rules per frame, uses
+the per-rule statuses to highlight unhealthy rows and shows the hit
+rates the rules measured, and reads stats files through the same
+:func:`iter_stats`.  Latency percentiles come
 from :func:`~repro.obs.metrics.merged_buckets` and
 :func:`~repro.obs.metrics.bucket_quantile`, the interpolation
 ``repro top`` uses too.
@@ -51,21 +55,6 @@ STATUSES: tuple[str, ...] = ("ok", "warn", "crit")
 # --------------------------------------------------------------------- #
 # snapshot accessors (shape documented in docs/OBSERVABILITY.md)
 # --------------------------------------------------------------------- #
-def _counter(snapshot: Mapping[str, Any], field: str) -> float | None:
-    """A ServiceCounters field, from ``counters`` or the registry dump."""
-    counters = snapshot.get("counters")
-    if isinstance(counters, Mapping) and field in counters:
-        return float(counters[field])
-    series = (
-        snapshot.get("metrics", {})
-        .get("counters", {})
-        .get(f"service_{field}_total", {})
-    )
-    if series:
-        return float(sum(float(v) for v in series.values()))
-    return None
-
-
 def _counter_sum(snapshot: Mapping[str, Any], name: str) -> float | None:
     """Sum of a registry counter family across all label series."""
     series = snapshot.get("metrics", {}).get("counters", {}).get(name, {})
@@ -82,10 +71,12 @@ def _gauge(snapshot: Mapping[str, Any], name: str) -> float | None:
 
 
 def _ratio(
-    snapshot: Mapping[str, Any], num_field: str, den_fields: Sequence[str]
+    snapshot: Mapping[str, Any], num_name: str, den_names: Sequence[str]
 ) -> float | None:
-    num = _counter(snapshot, num_field)
-    parts = [_counter(snapshot, f) for f in den_fields]
+    """A ratio of registry counter families (None if any is absent or
+    the denominator is 0)."""
+    num = _counter_sum(snapshot, num_name)
+    parts = [_counter_sum(snapshot, name) for name in den_names]
     if num is None or any(p is None for p in parts):
         return None
     den = sum(p for p in parts if p is not None)
@@ -200,12 +191,22 @@ class HealthReport:
         """0 ok / 1 warn / 2 crit — ``repro health``'s process exit."""
         return STATUSES.index(self.status)
 
-    def status_of(self, rule_name: str) -> str | None:
-        """The status of one rule by name (``None`` if not evaluated)."""
+    def _result(self, rule_name: str) -> RuleResult | None:
         for r in self.results:
             if r.rule.name == rule_name:
-                return r.status
+                return r
         return None
+
+    def status_of(self, rule_name: str) -> str | None:
+        """The status of one rule by name (``None`` if not evaluated)."""
+        r = self._result(rule_name)
+        return None if r is None else r.status
+
+    def value_of(self, rule_name: str) -> float | None:
+        """The quantity one rule measured (``None``: no data or not
+        evaluated) — ``repro top`` shows its hit rates from here."""
+        r = self._result(rule_name)
+        return None if r is None else r.value
 
     def failing(self) -> list[RuleResult]:
         """Results that are warn or crit, worst first."""
@@ -277,7 +278,10 @@ def default_rules(
         HealthRule(
             name="early_stop_ratio",
             description="precision requests stopped by the rule, not the cap",
-            extract=lambda s: _ratio(s, "early_stops", ("precision_requests",)),
+            extract=lambda s: _ratio(
+                s, "service_early_stops_total",
+                ("service_precision_requests_total",),
+            ),
             direction="below",
             warn=0.5,
             crit=0.1,
@@ -286,7 +290,8 @@ def default_rules(
             name="evidence_hit_rate",
             description="precision requests seeded from pooled evidence",
             extract=lambda s: _ratio(
-                s, "evidence_hits", ("evidence_hits", "evidence_misses")
+                s, "service_evidence_hits_total",
+                ("service_evidence_hits_total", "service_evidence_misses_total"),
             ),
             direction="below",
             warn=0.25,
@@ -296,7 +301,8 @@ def default_rules(
             name="cache_hit_rate",
             description="exact-plane lookups served from cache",
             extract=lambda s: _ratio(
-                s, "cache_hits", ("cache_hits", "cache_misses")
+                s, "service_cache_hits_total",
+                ("service_cache_hits_total", "service_cache_misses_total"),
             ),
             direction="below",
             warn=0.05,

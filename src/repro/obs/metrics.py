@@ -41,6 +41,7 @@ import math
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -385,6 +386,11 @@ class MetricFamily:
     @property
     def kind(self) -> str:
         return self._kind.kind
+
+    @cached_property
+    def bounds(self) -> tuple[float, ...]:
+        """The bucket bounds every child of a histogram family holds."""
+        return self._kind(**self._metric_kwargs).bounds
 
     def labels(self, **labelvalues: Any):
         """The child metric for one combination of label values."""

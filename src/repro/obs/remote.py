@@ -252,8 +252,10 @@ def merge_worker_snapshot(
     ``obs_span_duration_seconds{span=...}`` without a ``worker`` label),
     the merged series land under a ``worker_``-prefixed family name
     instead of corrupting the resident one.  A histogram whose bucket
-    layout differs from the resident family's raises ``ValueError``.
+    layout differs from the resident family's raises ``ValueError``
+    before any series is folded: a failed merge changes no series.
     """
+    resolved = []
     for kind, name, labelnames, series in exported:
         getter = getattr(registry, kind)  # the get-or-create method
         labelnames = (*labelnames, "worker")
@@ -262,6 +264,15 @@ def merge_worker_snapshot(
             family = getter(name, labelnames=labelnames, **kwargs)
         except ValueError:
             family = getter("worker_" + name, labelnames=labelnames, **kwargs)
+        if kind == "histogram":
+            for _, state in series:
+                if tuple(state[0]) != family.bounds:
+                    raise ValueError(
+                        f"cannot merge histogram {family.name!r} with bounds "
+                        f"{tuple(state[0])} into one with bounds {family.bounds}"
+                    )
+        resolved.append((family, labelnames, series))
+    for family, labelnames, series in resolved:
         for labelvalues, state in series:
             labels = dict(zip(labelnames, (*labelvalues, worker)))
             family.labels(**labels).merge(state)

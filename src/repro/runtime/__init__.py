@@ -15,7 +15,7 @@ from .errors import (
     UnknownNeighbor,
 )
 from .message import Message, UNBOUNDED_SLOTS, slot_cost
-from .metrics import RequestRecord, RoundRecord, RunMetrics, ServiceCounters
+from .metrics import RoundRecord, RunMetrics
 from .network import DEFAULT_SLOT_LIMIT, RunResult, SyncNetwork, run_mis_protocol
 from .node import NodeContext, NodeProcess, ProcessFactory
 from .rng import (
@@ -41,8 +41,6 @@ __all__ = [
     "slot_cost",
     "RoundRecord",
     "RunMetrics",
-    "RequestRecord",
-    "ServiceCounters",
     "DEFAULT_SLOT_LIMIT",
     "RunResult",
     "SyncNetwork",

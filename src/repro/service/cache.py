@@ -16,8 +16,8 @@ Two planes share one LRU budget discipline:
   cache key, or a seeded-run fingerprint) so re-running a deterministic
   seeded request can never double-count its correlated samples.
 
-Hit/miss/eviction/deposit totals are reported through the shared
-:class:`repro.runtime.metrics.ServiceCounters` instance.
+Hit/miss/eviction/deposit totals are ``service_*_total`` counters in
+the registry the cache is built with (the service's own).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from ..analysis.fairness import JoinEstimate, z_for_confidence
 from ..obs.logging import get_logger
 from ..obs.metrics import AGE_BUCKETS, MetricsRegistry
-from ..runtime.metrics import ServiceCounters
 
 __all__ = ["ResultCache", "cache_key", "evidence_key"]
 
@@ -85,15 +84,41 @@ class ResultCache:
     def __init__(
         self,
         capacity: int = 128,
-        counters: ServiceCounters | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self.counters = counters if counters is not None else ServiceCounters()
         if registry is None:
-            registry = self.counters.registry
+            registry = MetricsRegistry()
+        self._c_hits = registry.counter(
+            "service_cache_hits_total",
+            "Estimation-service lifetime total: cache hits",
+        ).labels()
+        self._c_misses = registry.counter(
+            "service_cache_misses_total",
+            "Estimation-service lifetime total: cache misses",
+        ).labels()
+        self._c_evictions = registry.counter(
+            "service_cache_evictions_total",
+            "Estimation-service lifetime total: cache evictions",
+        ).labels()
+        self._c_evidence_hits = registry.counter(
+            "service_evidence_hits_total",
+            "Estimation-service lifetime total: evidence hits",
+        ).labels()
+        self._c_evidence_misses = registry.counter(
+            "service_evidence_misses_total",
+            "Estimation-service lifetime total: evidence misses",
+        ).labels()
+        self._c_deposits = registry.counter(
+            "service_evidence_deposits_total",
+            "Estimation-service lifetime total: evidence deposits",
+        ).labels()
+        self._c_reused = registry.counter(
+            "service_evidence_trials_reused_total",
+            "Estimation-service lifetime total: evidence trials reused",
+        ).labels()
         self._h_age = registry.histogram(
             "service_cache_age_seconds",
             "Age of the cached entry at the moment it served a hit",
@@ -122,19 +147,19 @@ class ResultCache:
         into the ``service_cache_age_seconds`` histogram.
         """
         if key is None:
-            self.counters.increment("cache_misses")
+            self._c_misses.inc()
             return None
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
         if entry is None:
-            self.counters.increment("cache_misses")
+            self._c_misses.inc()
             return None
         est, inserted_at = entry
         age = time.monotonic() - inserted_at
         self._h_age.observe(age)
-        self.counters.increment("cache_hits")
+        self._c_hits.inc()
         _log.debug("cache_hit", age_s=round(age, 6))
         return est
 
@@ -150,7 +175,7 @@ class ResultCache:
                 self._entries.popitem(last=False)
                 evictions += 1
         if evictions:
-            self.counters.increment("cache_evictions", evictions)
+            self._c_evictions.inc(evictions)
             _log.debug("cache_evicted", evictions=evictions)
 
     # ------------------------------------------------------------------ #
@@ -170,11 +195,11 @@ class ResultCache:
             else:
                 est = None
         if est is None:
-            self.counters.increment("evidence_misses")
+            self._c_evidence_misses.inc()
             return None
         self._h_age.observe(age)
-        self.counters.increment("evidence_hits")
-        self.counters.increment("evidence_trials_reused", est.trials)
+        self._c_evidence_hits.inc()
+        self._c_reused.inc(est.trials)
         _log.debug(
             "evidence_hit", trials=est.trials, algorithm=algorithm_key
         )
@@ -222,9 +247,9 @@ class ResultCache:
                 evictions += 1
             resident = sum(e.trials for e in self._evidence.values())
         self._g_evidence_trials.set(resident)
-        self.counters.increment("evidence_deposits")
+        self._c_deposits.inc()
         if evictions:
-            self.counters.increment("cache_evictions", evictions)
+            self._c_evictions.inc(evictions)
             _log.debug("evidence_evicted", evictions=evictions)
 
     def evidence_trials(self, graph_hash: str, algorithm_key: str) -> int:
@@ -289,7 +314,7 @@ class ResultCache:
             resident = sum(e.trials for e in self._evidence.values())
         self._g_evidence_trials.set(resident)
         if victims:
-            self.counters.increment("cache_evictions", len(victims))
+            self._c_evictions.inc(len(victims))
             _log.debug("evidence_purged", purged=len(victims))
         return len(victims)
 

@@ -25,7 +25,6 @@ cancels them and terminates workers immediately.
 from __future__ import annotations
 
 import os
-from collections import deque
 from typing import Any, Mapping
 
 from ..analysis.montecarlo import normalize_jobs
@@ -33,7 +32,6 @@ from ..graphs.graph import StaticGraph
 from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, use_registry
 from ..obs.spans import span
-from ..runtime.metrics import RequestRecord, ServiceCounters
 from .cache import ResultCache
 from .journal import RequestJournal
 from .precision import Precision
@@ -103,6 +101,11 @@ class Estimator:
     chunk_trials:
         Trials per scheduling chunk — the unit of coalescing, incremental
         merging, and cancellation.
+    registry:
+        Where the service's metrics land, ``service_*_total`` lifetime
+        totals included (read them with
+        ``registry.counter("service_requests_total").value``); a fresh
+        :class:`~repro.obs.metrics.MetricsRegistry` by default.
     """
 
     def __init__(
@@ -118,20 +121,13 @@ class Estimator:
         if clamp_to_host:
             workers = min(workers, os.cpu_count() or 1)
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.counters = ServiceCounters(registry=self.registry)
-        self.cache = ResultCache(
-            capacity=cache_size,
-            counters=self.counters,
-            registry=self.registry,
-        )
+        self.cache = ResultCache(capacity=cache_size, registry=self.registry)
         self._scheduler = BatchScheduler(
             workers=workers,
             cache=self.cache,
-            counters=self.counters,
             chunk_trials=chunk_trials,
             context=context,
             registry=self.registry,
-            journal=RequestJournal(),
         )
         self._log = get_logger("repro.service.estimator")
         self._log.info(
@@ -148,11 +144,6 @@ class Estimator:
     def workers(self) -> int:
         """Effective worker count after normalization/clamping."""
         return self._scheduler.workers
-
-    @property
-    def records(self) -> deque[RequestRecord]:
-        """Per-request latency/throughput records (bounded, newest last)."""
-        return self._scheduler.records
 
     @property
     def telemetry(self):

@@ -47,7 +47,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 
 import numpy as np
 
@@ -66,7 +66,6 @@ from ..obs.metrics import (
 )
 from ..obs.remote import RemoteTelemetry
 from ..obs.spans import bind_trace, current_span_id, current_trace_id, new_trace_id, span
-from ..runtime.metrics import RequestRecord, ServiceCounters
 from ..runtime.rng import as_seed_sequence
 from .cache import ResultCache
 from .journal import ConvergenceTrace, RequestJournal, TraceFrame
@@ -210,7 +209,7 @@ class Ticket:
 
 
 class BatchScheduler:
-    """Owns the dispatcher thread, the worker set, cache, and records.
+    """Owns the dispatcher thread, the worker set, and the request journal.
 
     Most callers should use :class:`repro.service.Estimator`, which wraps
     this with a friendlier construction/submission surface.
@@ -218,36 +217,42 @@ class BatchScheduler:
 
     def __init__(
         self,
-        workers: int = 1,
-        cache: ResultCache | None = None,
-        counters: ServiceCounters | None = None,
-        chunk_trials: int = 64,
-        max_records: int = 1024,
-        context: str | None = None,
-        registry: MetricsRegistry | None = None,
-        journal: RequestJournal | None = None,
+        workers: int,
+        cache: ResultCache,
+        chunk_trials: int,
+        context: str | None,
+        registry: MetricsRegistry,
     ) -> None:
         if chunk_trials <= 0:
             raise ValueError("chunk_trials must be positive")
         self.workers = normalize_jobs(workers)
-        self.counters = (
-            counters
-            if counters is not None
-            else (
-                cache.counters
-                if cache is not None
-                else ServiceCounters(registry=registry)
-            )
-        )
-        self.registry = (
-            registry if registry is not None else self.counters.registry
-        )
-        self.cache = (
-            cache
-            if cache is not None
-            else ResultCache(counters=self.counters, registry=self.registry)
-        )
+        self.registry = registry
+        self.cache = cache
         self._log = get_logger("repro.service.scheduler")
+        self._c_requests = self.registry.counter(
+            "service_requests_total",
+            "Estimation-service lifetime total: requests",
+        ).labels()
+        self._c_precision = self.registry.counter(
+            "service_precision_requests_total",
+            "Estimation-service lifetime total: precision requests",
+        ).labels()
+        self._c_coalesced = self.registry.counter(
+            "service_coalesced_requests_total",
+            "Estimation-service lifetime total: coalesced requests",
+        ).labels()
+        self._c_chunks = self.registry.counter(
+            "service_chunks_executed_total",
+            "Estimation-service lifetime total: chunks executed",
+        ).labels()
+        self._c_trials = self.registry.counter(
+            "service_trials_executed_total",
+            "Estimation-service lifetime total: trials executed",
+        ).labels()
+        self._c_early_stops = self.registry.counter(
+            "service_early_stops_total",
+            "Estimation-service lifetime total: early stops",
+        ).labels()
         self._h_latency = self.registry.histogram(
             "service_request_latency_seconds",
             "Submit-to-completion latency of estimation requests",
@@ -293,10 +298,9 @@ class BatchScheduler:
             labelnames=("algorithm",),
         )
         self.chunk_trials = chunk_trials
-        self.records: deque[RequestRecord] = deque(maxlen=max_records)
         # Decision-audit plane: every primary request's convergence trace
         # lands here (bounded ring) for `repro explain` / EstimateResult.
-        self.journal = journal if journal is not None else RequestJournal()
+        self.journal = RequestJournal()
         # Cross-process plane: every pool this scheduler opens ships
         # trace context with its chunks and pipes worker metric deltas +
         # span records back through this merge point (repro.obs.remote).
@@ -332,7 +336,7 @@ class BatchScheduler:
         """
         if self._closed:
             raise RuntimeError("scheduler is shut down")
-        self.counters.increment("requests")
+        self._c_requests.inc()
         try:
             graph = self._resolve_graph(request)
             algorithm = make(request.algorithm, **dict(request.params))
@@ -350,7 +354,7 @@ class BatchScheduler:
             key = (graph_hash, algorithm_key, request.seed, request.trials, mode)
             ticket = Ticket(request, graph, graph_hash, algorithm, mode, key)
         else:
-            self.counters.increment("precision_requests")
+            self._c_precision.inc()
             ticket = Ticket(
                 request, graph, graph_hash, algorithm, mode, key=None,
                 stopping=precision.rule(),
@@ -384,7 +388,7 @@ class BatchScheduler:
             if primary is not None and not primary.dead:
                 ticket.coalesced = True
                 primary.subscribers.append(ticket)
-                self.counters.increment("coalesced_requests")
+                self._c_coalesced.inc()
                 self._log.info(
                     "request_coalesced",
                     trace_id=ticket.trace_id,
@@ -554,8 +558,8 @@ class BatchScheduler:
         self, ticket: Ticket, n_trials: int, counts: np.ndarray
     ) -> None:
         self._release_slot()
-        self.counters.increment("chunks_executed")
-        self.counters.increment("trials_executed", n_trials)
+        self._c_chunks.inc()
+        self._c_trials.inc(n_trials)
         self._h_chunk.observe(n_trials)
         self._log.debug(
             "chunk_completed",
@@ -631,7 +635,7 @@ class BatchScheduler:
             ticket.stopped_early = decision.satisfied
             ticket.achieved = decision.achieved()
             if decision.satisfied:
-                self.counters.increment("early_stops")
+                self._c_early_stops.inc()
                 self._c_early.labels(algorithm=ticket.request.algorithm).inc()
             else:
                 self._c_capped.labels(algorithm=ticket.request.algorithm).inc()
@@ -692,7 +696,7 @@ class BatchScheduler:
         )
 
     # ------------------------------------------------------------------ #
-    # completion / records
+    # completion
     # ------------------------------------------------------------------ #
     def _settle(self, ticket: Ticket) -> None:
         """Finish an executed ticket: deposit its new trials as evidence,
@@ -764,29 +768,7 @@ class BatchScheduler:
                 precision_achieved=ticket.achieved,
                 convergence=trace if primary else None,
             )
-            self._record(target, result)
             target._complete(result)
-
-    def _record(self, ticket: Ticket, result: EstimateResult) -> None:
-        self.records.append(
-            RequestRecord(
-                request_id=ticket.request.id or "",
-                algorithm=ticket.request.algorithm,
-                graph_hash=ticket.graph_hash,
-                trials=(
-                    ticket.request.trials
-                    if ticket.request.trials is not None
-                    else ticket.target
-                ),
-                trials_run=result.trials_run,
-                mode=result.mode,
-                cached=result.cached,
-                coalesced=result.coalesced,
-                latency_s=result.latency_s,
-                realized_trials=result.realized_trials,
-                stopped_early=result.stopped_early,
-            )
-        )
 
     def _drop_if_dead(self, ticket: Ticket) -> bool:
         """Abort *ticket* if nobody waits on it or the scheduler is

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -189,8 +190,9 @@ class TestServeCommand:
             if line.startswith("{")
         ]
         assert [s["requests_served"] for s in stats] == [1, 2]
-        assert stats[0]["counters"]["trials_executed"] == 16
-        assert stats[1]["counters"]["cache_hits"] == 1
+        counters = [s["metrics"]["counters"] for s in stats]
+        assert counters[0]["service_trials_executed_total"][""] == 16
+        assert counters[1]["service_cache_hits_total"][""] == 1
         # the full registry snapshot rides along
         assert "service_request_latency_seconds" in stats[0]["metrics"][
             "histograms"
@@ -330,9 +332,8 @@ class TestOperatorReaders:
             stats = [json.loads(line) for line in fh]
         assert [s["requests_served"] for s in stats] == [1, 2, 3, 4]
         for snapshot in stats:
-            assert {"counters", "latency_ms", "metrics", "evidence"} <= set(
-                snapshot
-            )
+            assert {"latency_ms", "metrics", "evidence"} <= set(snapshot)
+            assert "counters" not in snapshot
         assert len(stats[-1]["evidence"]) == 2
 
     def test_top_once_lists_worker_rows(self, probe_files, capsys):
@@ -471,3 +472,122 @@ class TestOperatorReaderErrors:
             main(argv)
         assert exc_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestOutputErrors:
+    """An output path that cannot be opened answers ``cannot open`` with
+    that path, before any request runs; errors of the run itself are
+    not re-labelled as the stats file's."""
+
+    def test_batch_output_directory(self, tmp_path, capsys):
+        argv = ["batch", "--input", str(PROBE), "--output", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == (
+            f"error: cannot open {tmp_path}: Is a directory"
+        )
+        assert "service:" not in capsys.readouterr().err  # nothing ran
+
+    def test_batch_output_directory_with_stats_file(self, tmp_path):
+        stats = tmp_path / "stats.jsonl"
+        argv = ["batch", "--input", str(PROBE), "--output", str(tmp_path),
+                "--stats-every", "1", "--stats-file", str(stats)]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == (
+            f"error: cannot open {tmp_path}: Is a directory"
+        )
+        assert not stats.exists()
+
+    def test_trace_out_directory(self, probe_files, tmp_path):
+        argv = ["trace", "--input", probe_files["spans"], "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == (
+            f"error: cannot open {tmp_path}: Is a directory"
+        )
+
+    def test_stats_stream_lets_body_errors_through(self, tmp_path):
+        import argparse
+
+        from repro.cli import _stats_stream
+
+        args = argparse.Namespace(stats_file=str(tmp_path / "stats.jsonl"))
+        bind = OSError(98, "error while attempting to bind on address")
+        with pytest.raises(OSError) as exc_info:
+            with _stats_stream(args) as stream:
+                assert stream is not None
+                raise bind
+        assert exc_info.value is bind
+
+
+#: Every lifetime total the service keeps, as ``service_<field>_total``.
+SERVICE_TOTALS = (
+    "requests", "precision_requests", "coalesced_requests",
+    "chunks_executed", "trials_executed", "early_stops",
+    "cache_hits", "cache_misses", "cache_evictions",
+    "evidence_hits", "evidence_misses", "evidence_deposits",
+    "evidence_trials_reused",
+)
+
+
+@pytest.fixture(scope="module")
+def miss_only_stats(tmp_path_factory):
+    """The stats file of a ``batch`` run of two exact requests that both
+    miss the cache, one snapshot per request."""
+    root = tmp_path_factory.mktemp("miss-only")
+    requests = root / "requests.jsonl"
+    requests.write_text(
+        "".join(
+            json.dumps({"graph": f"tree:40:{seed}", "algorithm": "luby_fast",
+                        "trials": 32, "seed": seed, "mode": "exact"}) + "\n"
+            for seed in (1, 2)
+        ),
+        encoding="utf-8",
+    )
+    stats = str(root / "stats.jsonl")
+    argv = ["batch", "--input", str(requests), "--jobs", "1", "--no-counts",
+            "--stats-every", "1", "--stats-file", stats,
+            "--output", str(root / "results.jsonl")]
+    assert main(argv) == 0
+    return stats
+
+
+class TestStatsReaders:
+    """Stats snapshots carry the service totals once, in the registry's
+    ``metrics`` block, from the first snapshot on; ``health`` and ``top``
+    read them there."""
+
+    def test_first_snapshot_carries_every_total(self, miss_only_stats):
+        with open(miss_only_stats, encoding="utf-8") as fh:
+            first = json.loads(fh.readline())
+        assert "counters" not in first
+        counters = first["metrics"]["counters"]
+        totals = {
+            field: counters[f"service_{field}_total"][""]
+            for field in SERVICE_TOTALS
+        }
+        assert totals["requests"] == 1
+        assert totals["cache_misses"] == 1
+        assert totals["trials_executed"] == 32
+        untouched = set(SERVICE_TOTALS) - {
+            "requests", "cache_misses", "trials_executed", "chunks_executed",
+            "evidence_deposits",
+        }
+        assert all(totals[field] == 0 for field in untouched), totals
+
+    def test_health_warns_on_zero_cache_hit_rate(self, miss_only_stats, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["health", "--stats-file", miss_only_stats, "--json"])
+        assert exc_info.value.code == 1
+        rules = {
+            r["rule"]: r for r in json.loads(capsys.readouterr().out)["rules"]
+        }
+        assert rules["cache_hit_rate"]["value"] == 0
+        assert rules["cache_hit_rate"]["status"] == "warn"
+
+    def test_top_shows_hit_rate_and_request_rate(self, miss_only_stats, capsys):
+        assert main(["top", "--stats-file", miss_only_stats, "--once"]) == 0
+        frame = capsys.readouterr().out
+        assert "cache hit 0.0%" in frame
+        assert re.search(r"rate: \d+\.\d/s", frame), frame

@@ -28,7 +28,8 @@ def _point(
     served=None,
     queue=None,
 ):
-    """One stats-event snapshot in the ``--stats-file`` wire shape."""
+    """One stats-event snapshot in the ``--stats-file`` wire shape;
+    *counters* maps ``field`` to the ``service_<field>_total`` series."""
     histograms = {}
     if latency is not None:
         histograms["service_request_latency_seconds"] = latency
@@ -44,13 +45,15 @@ def _point(
     gauges = {}
     if queue is not None:
         gauges["service_queue_depth_current"] = {"": queue}
+    series = {
+        f"service_{field}_total": {"": value}
+        for field, value in (counters or {}).items()
+    }
     point = {
         "event": "stats",
         "ts": ts,
-        "metrics": {"counters": {}, "gauges": gauges, "histograms": histograms},
+        "metrics": {"counters": series, "gauges": gauges, "histograms": histograms},
     }
-    if counters is not None:
-        point["counters"] = counters
     if served is not None:
         point["requests_served"] = served
     return point
@@ -140,7 +143,9 @@ class TestDashboard:
         dash = self._loaded()
         assert dash.queue_depth() == 4.0
         oldest, newest = dash._window()
-        assert dash._counter_rate(oldest, newest, "requests") == pytest.approx(2.0)
+        assert dash._registry_rate(
+            oldest, newest, "service_requests_total"
+        ) == pytest.approx(2.0)
 
     def test_render_frame(self):
         frame = self._loaded().render()
@@ -243,7 +248,7 @@ class TestSnapshotFromRegistry:
         assert snap["ts"] > 0
         assert snap["metrics"]["counters"]["requests_total"][""] == 1.0
         assert snap["requests_served"] == 7
-        assert "counters" not in snap  # only included when a tracker is passed
+        assert "counters" not in snap  # totals live under metrics only
 
 
 class TestRunTop:

@@ -102,7 +102,14 @@ class TestDefaultRules:
         assert evaluate_health(snap).status_of("queue_depth") == "crit"
 
     def test_early_stop_ratio_from_counters_block(self):
-        snap = {"counters": {"early_stops": 1, "precision_requests": 20}}
+        snap = {
+            "metrics": {
+                "counters": {
+                    "service_early_stops_total": {"": 1},
+                    "service_precision_requests_total": {"": 20},
+                }
+            }
+        }
         report = evaluate_health(snap)
         assert report.status_of("early_stop_ratio") == "crit"
 
@@ -118,7 +125,14 @@ class TestDefaultRules:
         assert evaluate_health(snap).status_of("early_stop_ratio") == "ok"
 
     def test_zero_denominator_is_no_data(self):
-        snap = {"counters": {"early_stops": 0, "precision_requests": 0}}
+        snap = {
+            "metrics": {
+                "counters": {
+                    "service_early_stops_total": {"": 0},
+                    "service_precision_requests_total": {"": 0},
+                }
+            }
+        }
         report = evaluate_health(snap)
         assert report.status_of("early_stop_ratio") == "ok"
 
@@ -243,10 +257,10 @@ class TestLoadStatsSnapshot:
     def test_last_stats_event_wins(self, tmp_path):
         path = tmp_path / "stats.jsonl"
         lines = [
-            json.dumps({"event": "stats", "ts": 1, "counters": {}}),
+            json.dumps({"event": "stats", "ts": 1, "metrics": {}}),
             "not json at all",
             json.dumps({"event": "span", "name": "x"}),
-            json.dumps({"event": "stats", "ts": 2, "counters": {"a": 1}}),
+            json.dumps({"event": "stats", "ts": 2, "metrics": {"counters": {}}}),
             "",
         ]
         path.write_text("\n".join(lines) + "\n")

@@ -486,6 +486,32 @@ class TestLayoutMismatch:
         lat = reg.snapshot()["histograms"].get("lat", {})
         assert all(v["count"] == 0 for v in lat.values())
 
+    def test_failed_merge_folds_no_family(self):
+        # The payload's counter is fine and its histogram has another
+        # layout: the chunk fails as a whole, so neither lands.
+        reg = MetricsRegistry()
+        reg.histogram("lat", buckets=(1, 2), labelnames=("worker",)).labels(
+            worker="pid:0"
+        ).observe(1.5)
+        tel = RemoteTelemetry(reg)
+        before = reg.snapshot()
+        payload = [
+            ("counter", "trials_total", (), [((), 64.0)]),
+            ("histogram", "lat", (), [((), ((1.0, 3.0), (1, 0, 0), 0.5, 1))]),
+        ]
+        buf = io.StringIO()
+        configure_logging(stream=buf, level="debug")
+        try:
+            value = tel.absorb(
+                ChunkResult(7, ChunkTelemetry("chunk-p", "pid:1", payload))
+            )
+        finally:
+            disable_logging()
+        assert value == 7
+        assert reg.snapshot() == before
+        assert "telemetry_merge_failed" in buf.getvalue()
+        assert reg.counter("telemetry_chunks_merged_total").value == 0
+
 
 class TestAbsorbIdempotence:
     def test_duplicate_chunk_merges_once(self):

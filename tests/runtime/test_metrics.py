@@ -49,128 +49,3 @@ class TestRunMetrics:
         assert m.rounds == 5
         assert len(m.per_round) == 3
 
-
-class TestServiceCounters:
-    def test_increment_and_snapshot(self):
-        from repro.runtime import ServiceCounters
-
-        c = ServiceCounters()
-        c.increment("requests")
-        c.increment("cache_hits", 3)
-        snap = c.snapshot()
-        assert snap["requests"] == 1
-        assert snap["cache_hits"] == 3
-        assert snap["cache_misses"] == 0
-
-    def test_snapshot_is_a_copy(self):
-        from repro.runtime import ServiceCounters
-
-        c = ServiceCounters()
-        snap = c.snapshot()
-        snap["requests"] = 99
-        assert c.snapshot()["requests"] == 0
-
-    def test_unknown_counter_rejected(self):
-        import pytest
-
-        from repro.runtime import ServiceCounters
-
-        with pytest.raises((AttributeError, KeyError, ValueError)):
-            ServiceCounters().increment("bogus_counter")
-
-    def test_unknown_counter_leaves_state_untouched(self):
-        # Validate-and-update is atomic: a rejected name must not create
-        # a counter or disturb existing totals.
-        import pytest
-
-        from repro.runtime import ServiceCounters
-
-        c = ServiceCounters()
-        c.increment("requests")
-        with pytest.raises(AttributeError):
-            c.increment("bogus_counter", 7)
-        snap = c.snapshot()
-        assert snap["requests"] == 1
-        assert "bogus_counter" not in snap
-
-    def test_reset_zeroes_all(self):
-        from repro.runtime import ServiceCounters
-
-        c = ServiceCounters()
-        c.increment("requests", 5)
-        c.increment("trials_executed", 100)
-        c.reset()
-        assert all(v == 0 for v in c.snapshot().values())
-
-    def test_attribute_reads(self):
-        import pytest
-
-        from repro.runtime import ServiceCounters
-
-        c = ServiceCounters()
-        c.increment("cache_hits", 2)
-        assert c.cache_hits == 2
-        assert c.requests == 0
-        with pytest.raises(AttributeError):
-            c.no_such_counter
-
-    def test_backed_by_registry(self):
-        # The shim exposes the same totals through the metrics registry.
-        from repro.runtime import ServiceCounters
-
-        c = ServiceCounters()
-        c.increment("requests", 3)
-        snap = c.registry.snapshot()
-        assert snap["counters"]["service_requests_total"][""] == 3.0
-
-    def test_thread_safety(self):
-        import threading
-
-        from repro.runtime import ServiceCounters
-
-        c = ServiceCounters()
-
-        def bump():
-            for _ in range(1000):
-                c.increment("trials_executed")
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.snapshot()["trials_executed"] == 4000
-
-
-class TestRequestRecord:
-    def test_throughput(self):
-        from repro.runtime import RequestRecord
-
-        rec = RequestRecord(
-            request_id="r1",
-            algorithm="luby_fast",
-            graph_hash="abc",
-            trials=100,
-            trials_run=100,
-            mode="vectorized",
-            cached=False,
-            coalesced=False,
-            latency_s=0.5,
-        )
-        assert rec.throughput == 200.0
-
-    def test_zero_latency_throughput(self):
-        from repro.runtime import RequestRecord
-
-        rec = RequestRecord(
-            request_id=None,
-            algorithm="luby_fast",
-            graph_hash="abc",
-            trials=10,
-            trials_run=0,
-            mode="exact",
-            cached=True,
-            coalesced=False,
-            latency_s=0.0,
-        )
-        assert rec.throughput == 0.0

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.analysis.fairness import JoinEstimate
-from repro.runtime.metrics import ServiceCounters
+from repro.obs.metrics import MetricsRegistry
 from repro.service import Estimator, ResultCache, cache_key
 
 
@@ -26,71 +26,70 @@ class TestCacheKey:
 
 class TestResultCache:
     def test_get_put(self):
-        c = ResultCache(capacity=4, counters=ServiceCounters())
+        c = ResultCache(capacity=4)
         assert c.get("k") is None
         c.put("k", est())
         assert c.get("k").trials == 4
 
     def test_lru_eviction(self):
-        counters = ServiceCounters()
-        c = ResultCache(capacity=2, counters=counters)
+        registry = MetricsRegistry()
+        c = ResultCache(capacity=2, registry=registry)
         c.put("a", est(1))
         c.put("b", est(2))
         c.get("a")  # refresh a → b is now least-recent
         c.put("c", est(3))
         assert c.get("b") is None
         assert c.get("a") is not None and c.get("c") is not None
-        assert counters.snapshot()["cache_evictions"] == 1
+        assert registry.counter("service_cache_evictions_total").value == 1
 
     def test_counters_track_hits_and_misses(self):
-        counters = ServiceCounters()
-        c = ResultCache(capacity=4, counters=counters)
+        registry = MetricsRegistry()
+        c = ResultCache(capacity=4, registry=registry)
         c.get("k")
         c.put("k", est())
         c.get("k")
-        snap = counters.snapshot()
-        assert snap["cache_misses"] == 1
-        assert snap["cache_hits"] == 1
+        assert registry.counter("service_cache_misses_total").value == 1
+        assert registry.counter("service_cache_hits_total").value == 1
 
     def test_capacity_zero_disables(self):
-        c = ResultCache(capacity=0, counters=ServiceCounters())
+        c = ResultCache(capacity=0)
         c.put("k", est())
         assert c.get("k") is None
 
 
 class TestEvidencePlane:
-    def _gauge(self, counters):
-        return counters.registry.gauge("service_evidence_trials_resident").value
+    def _gauge(self, registry):
+        return registry.gauge("service_evidence_trials_resident").value
 
     def test_lru_eviction_keeps_resident_gauge_consistent(self):
-        counters = ServiceCounters()
-        c = ResultCache(capacity=2, counters=counters)
+        registry = MetricsRegistry()
+        c = ResultCache(capacity=2, registry=registry)
         c.add_evidence("g1", "luby", est(4))
         c.add_evidence("g2", "luby", est(8))
-        assert self._gauge(counters) == 12
+        assert self._gauge(registry) == 12
         c.evidence("g1", "luby")  # refresh g1 → g2 is least-recent
         c.add_evidence("g3", "luby", est(16))
         assert c.evidence_trials("g2", "luby") == 0
         assert c.evidence_trials("g1", "luby") == 4
         # The gauge tracks exactly the trials still resident.
-        assert self._gauge(counters) == 4 + 16
-        assert counters.snapshot()["cache_evictions"] == 1
+        assert self._gauge(registry) == 4 + 16
+        assert registry.counter("service_cache_evictions_total").value == 1
 
     def test_purge_selective_and_full(self):
-        counters = ServiceCounters()
-        c = ResultCache(capacity=8, counters=counters)
+        registry = MetricsRegistry()
+        c = ResultCache(capacity=8, registry=registry)
         c.add_evidence("g1", "luby", est(4))
         c.add_evidence("g1", "fair", est(4))
         c.add_evidence("g2", "luby", est(4))
         assert c.purge_evidence(graph_hash="g1", algorithm_key="luby") == 1
-        assert self._gauge(counters) == 8
+        assert self._gauge(registry) == 8
         assert c.purge_evidence(graph_hash="g2") == 1
         assert c.purge_evidence() == 1  # everything left
-        assert self._gauge(counters) == 0
+        assert self._gauge(registry) == 0
         assert c.purge_evidence() == 0  # idempotent on empty plane
 
     def test_purged_tags_do_not_block_redeposit(self):
-        c = ResultCache(capacity=8, counters=ServiceCounters())
+        c = ResultCache(capacity=8)
         c.add_evidence("g", "luby", est(4), tag=("seed", 7))
         c.purge_evidence(graph_hash="g")
         # The purge dropped the dedup tag with the entry, so the same
@@ -99,15 +98,15 @@ class TestEvidencePlane:
         assert c.evidence_trials("g", "luby") == 4
 
     def test_same_tag_does_not_double_count(self):
-        counters = ServiceCounters()
-        c = ResultCache(capacity=8, counters=counters)
+        registry = MetricsRegistry()
+        c = ResultCache(capacity=8, registry=registry)
         c.add_evidence("g", "luby", est(4), tag=("seed", 7))
         c.add_evidence("g", "luby", est(4), tag=("seed", 7))
         assert c.evidence_trials("g", "luby") == 4
-        assert self._gauge(counters) == 4
+        assert self._gauge(registry) == 4
 
     def test_evidence_entries_describes_pools(self):
-        c = ResultCache(capacity=8, counters=ServiceCounters())
+        c = ResultCache(capacity=8)
         c.add_evidence("g", "luby", est(16), tag="t1")
         rows = c.evidence_entries()
         assert len(rows) == 1
@@ -129,15 +128,15 @@ class TestEstimatorCaching:
             again = svc.estimate(
                 graph_spec="tree:40:3", algorithm="luby_fast", trials=64, seed=3
             )
-            snap = svc.counters.snapshot()
+        total = svc.registry.counter
         assert not first.cached
         assert again.cached
         assert again.trials_run == 0
         assert np.array_equal(again.estimate.counts, first.estimate.counts)
-        assert snap["cache_hits"] == 1
-        assert snap["cache_misses"] >= 1
+        assert total("service_cache_hits_total").value == 1
+        assert total("service_cache_misses_total").value >= 1
         # No new trials were executed for the repeat.
-        assert snap["trials_executed"] == 64
+        assert total("service_trials_executed_total").value == 64
 
     def test_different_seed_misses(self):
         with Estimator(n_jobs=1) as svc:
@@ -155,7 +154,7 @@ class TestEstimatorCaching:
             b = svc.estimate(
                 graph_spec="path:12", algorithm="luby_fast", trials=32, seed=None
             )
-            snap = svc.counters.snapshot()
+        total = svc.registry.counter
         assert not a.cached and not b.cached
-        assert snap["cache_hits"] == 0
-        assert snap["trials_executed"] == 64
+        assert total("service_cache_hits_total").value == 0
+        assert total("service_trials_executed_total").value == 64

@@ -213,11 +213,11 @@ class TestCoalescing:
             second = svc.submit(**kwargs)
             a = first.result(timeout=30)
             b = second.result(timeout=30)
-            snap = svc.counters.snapshot()
+        total = svc.registry.counter
         assert np.array_equal(a.estimate.counts, b.estimate.counts)
         # Only one request's worth of trials actually ran.
-        assert snap["trials_executed"] == 64
-        assert snap["coalesced_requests"] == 1
+        assert total("service_trials_executed_total").value == 64
+        assert total("service_coalesced_requests_total").value == 1
         assert b.coalesced and b.trials_run == 0
 
     @pytest.mark.parametrize("n_requests", [2, 4])
@@ -228,11 +228,11 @@ class TestCoalescing:
         with Estimator(n_jobs=1, chunk_trials=8) as svc:
             handles = [svc.submit(**kwargs) for _ in range(n_requests)]
             results = [h.result(timeout=30) for h in handles]
-            snap = svc.counters.snapshot()
+        total = svc.registry.counter
         assert all(r.estimate.trials == 48 for r in results)
         # N overlapping seedless requests cost one request's trials.
-        assert snap["trials_executed"] == 48
-        assert snap["coalesced_requests"] == n_requests - 1
+        assert total("service_trials_executed_total").value == 48
+        assert total("service_coalesced_requests_total").value == n_requests - 1
 
     def test_cancelling_primary_keeps_serving_subscribers(
         self, slow_algorithm
@@ -249,9 +249,8 @@ class TestCoalescing:
             with pytest.raises(EstimateCancelled):
                 first.result(timeout=30)
             res = second.result(timeout=30)
-            snap = svc.counters.snapshot()
         assert res.coalesced and res.estimate.trials == 96
-        assert snap["trials_executed"] == 96
+        assert svc.registry.counter("service_trials_executed_total").value == 96
 
     def test_racing_identical_submissions_lose_no_request(self):
         """Threads race identical seeded and seedless submissions onto
@@ -275,31 +274,19 @@ class TestCoalescing:
                     futures = [pool.submit(burst, s) for s in (None, 1, None, 1)]
                     handles = [h for f in futures for h in f.result(timeout=60)]
                 results = [h.result(timeout=60) for h in handles]
-                snap = svc.counters.snapshot()
                 live = set(svc._scheduler._live)
         finally:
             sys.setswitchinterval(switch)
+        total = svc.registry.counter
+        coalesced = total("service_coalesced_requests_total").value
         assert all(r.estimate.trials == 48 for r in results)
         primaries = [r for r in results if r.trials_run]
-        assert snap["trials_executed"] == 48 * len(primaries)
-        assert snap["coalesced_requests"] == sum(r.coalesced for r in results)
-        assert len(primaries) + snap["coalesced_requests"] + snap[
-            "cache_hits"
-        ] == len(results)
+        assert total("service_trials_executed_total").value == 48 * len(primaries)
+        assert coalesced == sum(r.coalesced for r in results)
+        assert len(primaries) + coalesced + total(
+            "service_cache_hits_total"
+        ).value == len(results)
         assert not live
-
-    def test_request_records_capture_latency(self):
-        with Estimator(n_jobs=1) as svc:
-            svc.estimate(
-                graph_spec="path:10", algorithm="luby_fast", trials=32, seed=0
-            )
-            records = list(svc.records)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.algorithm == "luby_fast"
-        assert rec.trials == 32
-        assert rec.latency_s >= 0
-        assert rec.throughput >= 0
 
 
 class TestLifecycle:

@@ -190,6 +190,26 @@ class TestServiceMetrics:
         pids = {e["pid"] for e in doc["traceEvents"]}
         assert len(pids) >= 2  # parent + at least one worker track
 
+    def test_service_totals_exposed_from_construction(self):
+        # Every lifetime total is a declared registry counter, at 0 in
+        # the exposition before the first request.
+        fields = (
+            "requests", "precision_requests", "coalesced_requests",
+            "chunks_executed", "trials_executed", "early_stops",
+            "cache_hits", "cache_misses", "cache_evictions",
+            "evidence_hits", "evidence_misses", "evidence_deposits",
+            "evidence_trials_reused",
+        )
+        with Estimator(n_jobs=1) as svc:
+            text = svc.registry.render_prometheus()
+        for field in fields:
+            name = f"service_{field}_total"
+            help_text = field.replace("_", " ")
+            assert (
+                f"# HELP {name} Estimation-service lifetime total: {help_text}\n"
+                f"# TYPE {name} counter\n{name} 0\n"
+            ) in text
+
     def test_estimators_have_isolated_registries(self):
         graph = build_graph("tree:15")
         with Estimator(n_jobs=1, cache_size=4) as a, Estimator(
@@ -199,8 +219,8 @@ class TestServiceMetrics:
                 graph=graph, algorithm="luby_fast", trials=4, seed=0,
                 mode="exact",
             )
-            assert a.counters.requests == 1
-            assert b.counters.requests == 0
+            assert a.registry.counter("service_requests_total").value == 1
+            assert b.registry.counter("service_requests_total").value == 0
             assert (
                 b.registry.snapshot()["counters"]["service_requests_total"][""]
                 == 0.0

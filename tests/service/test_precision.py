@@ -206,7 +206,7 @@ class TestEvidenceReuse:
                 graph_spec="path:4", algorithm="luby_fast",
                 precision=Precision(node_ci=0.05), seed=1,
             )
-            counters = svc.counters.snapshot()
+        total = svc.registry.counter
         # 500 pooled trials give a ±0.044 interval at p=0.5 — the 0.05
         # target is already met, so the warm request runs nothing new.
         assert warm.cached
@@ -214,10 +214,10 @@ class TestEvidenceReuse:
         assert warm.prior_trials == 500
         assert warm.realized_trials == 500
         assert warm.stopped_early
-        assert counters["evidence_hits"] >= 1
-        assert counters["evidence_deposits"] >= 1
-        assert counters["early_stops"] >= 1
-        assert counters["evidence_trials_reused"] >= 500
+        assert total("service_evidence_hits_total").value >= 1
+        assert total("service_evidence_deposits_total").value >= 1
+        assert total("service_early_stops_total").value >= 1
+        assert total("service_evidence_trials_reused_total").value >= 500
 
     def test_precision_runs_deposit_evidence_too(self):
         with Estimator(n_jobs=1) as svc:
@@ -238,9 +238,9 @@ class TestEvidenceReuse:
         # the evidence pool with correlated samples.
         with Estimator(n_jobs=1) as svc:
             for _ in range(2):
-                svc.estimate(graph_spec="path:4", algorithm="luby_fast",
-                             trials=64, seed=0)
-            graph_hash = svc.records[-1].graph_hash
+                result = svc.estimate(graph_spec="path:4", algorithm="luby_fast",
+                                      trials=64, seed=0)
+            graph_hash = result.graph_hash
             key = EstimateRequest(
                 graph_spec="path:4", algorithm="luby_fast", trials=64, seed=0
             ).algorithm_key()
