@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 from typing import IO, Iterable
@@ -408,6 +409,7 @@ def _cmd_serve_network(args: argparse.Namespace) -> None:
     from .frontend import (
         Frontend,
         FrontendConfig,
+        ListenError,
         run_http_server,
         run_tcp_server,
     )
@@ -432,19 +434,35 @@ def _cmd_serve_network(args: argparse.Namespace) -> None:
     )
     runner = run_tcp_server if args.tcp else run_http_server
     frontend = Frontend(config)
-    print(
-        f"repro front end listening on {host}:{port} "
-        f"({'tcp' if args.tcp else 'http'}, {config.shards} shard"
-        f"{'s' if config.shards != 1 else ''}); Ctrl-C to stop",
-        file=sys.stderr,
-    )
+
+    async def serve(stats_stream) -> None:
+        # announce the socket once it listens, not before it is bound
+        ready = asyncio.Event()
+        server = asyncio.create_task(
+            runner(frontend, host, port, ready=ready, stats_stream=stats_stream)
+        )
+        listening = asyncio.create_task(ready.wait())
+        await asyncio.wait(
+            [server, listening], return_when=asyncio.FIRST_COMPLETED
+        )
+        if listening.done():
+            print(
+                f"repro front end listening on {host}:{frontend.bound_port} "
+                f"({'tcp' if args.tcp else 'http'}, {config.shards} shard"
+                f"{'s' if config.shards != 1 else ''}); Ctrl-C to stop",
+                file=sys.stderr,
+            )
+        else:
+            listening.cancel()
+        await server
+
     try:
         with _stats_stream(args) as stats_stream, _flush_on_signals(
             stats_stream
         ):
-            asyncio.run(
-                runner(frontend, host, port, stats_stream=stats_stream)
-            )
+            asyncio.run(serve(stats_stream))
+    except ListenError as exc:
+        raise SystemExit(f"error: {exc.strerror}")
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         raise SystemExit(130)
@@ -798,6 +816,14 @@ def _cmd_top(args: argparse.Namespace) -> None:
             window_s=args.window,
             once=args.once,
         )
+    except BrokenPipeError:
+        # stdout's reader has gone (``repro top --once | head -1``), which
+        # is no read error: end quietly, with /dev/null under stdout so
+        # that the interpreter's exit-time flush has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise SystemExit(1)
     except OSError as exc:
         raise SystemExit(
             f"error: cannot read {args.stats_file}: {exc.strerror}"

@@ -198,18 +198,18 @@ def batched_fair_rooted_trials(
 ) -> JoinEstimate:
     """FAIRROOTED join counts over *trials* runs (batched).
 
-    *parent* is the base graph's parent array (BFS rooting from vertex 0
-    when omitted, matching :class:`~repro.fast.fair_rooted.FastFairRooted`).
+    *parent* is the base graph's parent array (its cached BFS rooting
+    from vertex 0 when omitted, matching
+    :class:`~repro.fast.fair_rooted.FastFairRooted`).
     Copies get the same rooting shifted by their offset, and the
     Cole–Vishkin stage is pinned to the base graph's size (initial id
     palette and reduction count) so each copy runs exactly one trial.
     """
-    from ..graphs.graph import RootedTree
-    from .fair_rooted import fair_rooted_run
+    from .fair_rooted import fair_rooted_run, tree_parents
 
     n = graph.n
     if parent is None:
-        parent = RootedTree.from_graph(graph).parent
+        parent = tree_parents(graph)
     parent = np.asarray(parent, dtype=np.int64)
 
     def sweep(union, rng):
@@ -311,11 +311,12 @@ def _fair_tree_vector_runner(algorithm, graph, trials, seed):
 
 
 def _fair_rooted_vector_runner(algorithm, graph, trials, seed):
+    tree = algorithm.tree
     return batched_fair_rooted_trials(
         graph,
         trials,
         seed=seed,
-        parent=algorithm._parents(graph),  # noqa: SLF001 - same package
+        parent=None if tree is None else tree.parent,
     ).counts
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..core.registry import register
 from ..core.result import MISResult
-from ..graphs.graph import RootedTree, StaticGraph
+from ..graphs.graph import GraphValidationError, RootedTree, StaticGraph
 from ..algorithms.cole_vishkin import cv_reduction_iterations
 from .engine import edge_both, neighbor_any
 
@@ -23,7 +23,20 @@ __all__ = [
     "FastColeVishkin",
     "fair_rooted_run",
     "cole_vishkin_colors",
+    "tree_parents",
 ]
+
+
+def tree_parents(graph: StaticGraph, tree: RootedTree | None = None) -> np.ndarray:
+    """*tree*'s parent array, else *graph*'s cached BFS rooting from
+    vertex 0 (:attr:`StaticGraph.rooting`); raises
+    :class:`GraphValidationError` when the graph has a cycle."""
+    if tree is not None:
+        return tree.parent
+    parent = graph.rooting
+    if parent is None:
+        raise GraphValidationError("graph has a cycle: a rooting needs a forest")
+    return parent
 
 
 def cole_vishkin_colors(
@@ -134,24 +147,14 @@ class FastColeVishkin:
     def __init__(self, tree: RootedTree | None = None, validate: bool = False) -> None:
         self.tree = tree
         self.validate = validate
-        self._cache: tuple[StaticGraph, np.ndarray] | None = None
 
     @property
     def name(self) -> str:
         return "cole_vishkin_fast"
 
-    def _parents(self, graph: StaticGraph) -> np.ndarray:
-        if self.tree is not None:
-            return self.tree.parent
-        if self._cache is not None and self._cache[0] is graph:
-            return self._cache[1]
-        parent = RootedTree.from_graph(graph).parent
-        self._cache = (graph, parent)
-        return parent
-
     def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
         n = graph.n
-        parent = self._parents(graph)
+        parent = tree_parents(graph, self.tree)
         colors = cole_vishkin_colors(n, parent, np.ones(n, dtype=bool))
         es, ed = graph.edge_src, graph.edge_dst
         member = np.zeros(n, dtype=bool)
@@ -171,29 +174,19 @@ class FastFairRooted:
     """Vectorized FAIRROOTED as a :class:`~repro.core.result.MISAlgorithm`.
 
     Accepts an explicit :class:`RootedTree` or roots the input tree
-    deterministically from vertex 0 (cached per graph).
+    deterministically from vertex 0 (:func:`tree_parents`).
     """
 
     def __init__(self, tree: RootedTree | None = None, validate: bool = False) -> None:
         self.tree = tree
         self.validate = validate
-        self._cache: tuple[StaticGraph, np.ndarray] | None = None
 
     @property
     def name(self) -> str:
         return "fair_rooted_fast"
 
-    def _parents(self, graph: StaticGraph) -> np.ndarray:
-        if self.tree is not None:
-            return self.tree.parent
-        if self._cache is not None and self._cache[0] is graph:
-            return self._cache[1]
-        parent = RootedTree.from_graph(graph).parent
-        self._cache = (graph, parent)
-        return parent
-
     def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
-        member, info = fair_rooted_run(graph, self._parents(graph), rng)
+        member, info = fair_rooted_run(graph, tree_parents(graph, self.tree), rng)
         result = MISResult(membership=member, info=info)
         if self.validate:
             result.validate(graph)

@@ -9,6 +9,11 @@ calls and ``O(m)`` scatters:
 * Stage 3 — CFB over nodes uncovered by ``I₂`` (maximalize) → ``I₃``;
 * Stage 4 — drop independence violations, vectorized Luby on any
   remaining uncovered nodes (the ε ≤ 1/n fallback path).
+
+Per-trial runs (:class:`FastFairTree`) hand the CFB calls the graph's
+cached :attr:`~repro.graphs.graph.StaticGraph.forest_layout`, so on a
+forest they read each call's outcome off the rooting instead of
+flooding; batched unions keep flooding.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from ..core.registry import register
 from ..core.result import MISResult
-from ..graphs.graph import StaticGraph
+from ..graphs.graph import ForestLayout, StaticGraph
 from ..algorithms.fair_tree import default_gamma
 from ..obs.profile import phase
 from .cfb import cfb_fast
@@ -33,8 +38,13 @@ def fair_tree_run(
     graph: StaticGraph,
     rng: np.random.Generator,
     gamma: int,
+    forest: ForestLayout | None = None,
 ) -> tuple[np.ndarray, dict[str, Any]]:
-    """One FAIRTREE execution; returns ``(membership, info)``."""
+    """One FAIRTREE execution; returns ``(membership, info)``.
+
+    *forest* is *graph*'s :attr:`~StaticGraph.forest_layout`, passed on
+    to every CFB call (see :func:`~repro.fast.cfb.cfb_fast`).
+    """
     n = graph.n
     es, ed = graph.edge_src, graph.edge_dst
     m = graph.m
@@ -44,18 +54,20 @@ def fair_tree_run(
     with phase("fair_tree.stage1_cut"):
         cut_undirected = rng.integers(0, 2, size=m, dtype=np.int64)
         cut = np.concatenate([cut_undirected, cut_undirected])  # symmetric order
-        i1 = cfb_fast(graph, rng, gamma, active=all_nodes, edge_mask=cut == 0)
+        i1 = cfb_fast(
+            graph, rng, gamma, active=all_nodes, edge_mask=cut == 0, forest=forest
+        )
 
     # -- Stage 2: resolve conflicts among I₁ -------------------------------- #
     with phase("fair_tree.stage2_resolve"):
-        joined2 = cfb_fast(graph, rng, gamma, active=i1)
+        joined2 = cfb_fast(graph, rng, gamma, active=i1, forest=forest)
         i2 = i1 & joined2
 
     # -- Stage 3: maximalize over uncovered nodes ---------------------------- #
     with phase("fair_tree.stage3_maximalize"):
         covered2 = i2 | neighbor_any(i2, es, ed, n)
         uncovered = ~covered2
-        joined3 = cfb_fast(graph, rng, gamma, active=uncovered)
+        joined3 = cfb_fast(graph, rng, gamma, active=uncovered, forest=forest)
         i3 = i2 | (uncovered & joined3)
 
     # -- Stage 4: fix + fallback --------------------------------------------- #
@@ -104,7 +116,7 @@ class FastFairTree:
             if self.gamma is not None
             else default_gamma(graph.n, self.gamma_c)
         )
-        member, info = fair_tree_run(graph, rng, gamma)
+        member, info = fair_tree_run(graph, rng, gamma, graph.forest_layout)
         result = MISResult(membership=member, info=info)
         if self.validate:
             result.validate(graph)

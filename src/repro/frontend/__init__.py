@@ -21,7 +21,13 @@ from .protocol import (
     parse_request_line,
 )
 from .routing import RendezvousRouter, routing_key
-from .server import Frontend, FrontendConfig, run_http_server, run_tcp_server
+from .server import (
+    Frontend,
+    FrontendConfig,
+    ListenError,
+    run_http_server,
+    run_tcp_server,
+)
 from .shards import ShardClient, ShardUnavailable, shard_argv
 
 __all__ = [
@@ -30,6 +36,7 @@ __all__ = [
     "ERROR_CODES",
     "Frontend",
     "FrontendConfig",
+    "ListenError",
     "LoadReport",
     "ParsedLine",
     "PeakHoldEstimator",

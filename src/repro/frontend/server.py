@@ -34,6 +34,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
+import socket
 import time
 from dataclasses import dataclass, field
 from typing import Any, IO, Mapping
@@ -45,7 +47,19 @@ from .protocol import DEFAULT_MAX_LINE_BYTES, error_payload, parse_request_line
 from .routing import RendezvousRouter
 from .shards import ShardClient, ShardUnavailable, shard_argv
 
-__all__ = ["Frontend", "FrontendConfig", "run_tcp_server", "run_http_server"]
+__all__ = [
+    "Frontend",
+    "FrontendConfig",
+    "ListenError",
+    "run_tcp_server",
+    "run_http_server",
+]
+
+
+class ListenError(OSError):
+    """The front end's socket could not be bound; no shard was started.
+    ``strerror`` reads ``cannot listen on HOST:PORT: <reason>``."""
+
 
 #: At most this many distinct clients keep a live token bucket; beyond
 #: it the oldest-inserted bucket is evicted (a fresh bucket starts full,
@@ -429,6 +443,54 @@ async def _stats_loop(frontend: Frontend, stream: IO[str], interval: float) -> N
         print(json.dumps(frontend.stats_snapshot()), file=stream, flush=True)
 
 
+async def _serve(
+    frontend: Frontend,
+    handler,
+    host: str,
+    port: int,
+    ready: asyncio.Event | None,
+    stats_stream: IO[str] | None,
+    stats_interval: float,
+) -> None:
+    """Bind, start the shards, then listen with *handler* until cancelled.
+
+    The socket binds before any shard starts, so a taken port fails at
+    once with :class:`ListenError` and nothing to tear down; it listens
+    only once every shard is up.
+    """
+    try:
+        server = await asyncio.start_server(
+            lambda r, w: handler(frontend, r, w), host, port, start_serving=False
+        )
+    except OSError as exc:
+        # asyncio rewords bind errors; report the system's own reason
+        if isinstance(exc, socket.gaierror) or not exc.errno:
+            reason = exc.strerror or str(exc)
+        else:
+            reason = os.strerror(exc.errno)
+        raise ListenError(exc.errno, f"cannot listen on {host}:{port}: {reason}")
+    # Port 0 binds an ephemeral port; publish the real one for callers.
+    frontend.bound_port = server.sockets[0].getsockname()[1]
+    stats_task: asyncio.Task[None] | None = None
+    try:
+        async with server:
+            await frontend.start()
+            await server.start_serving()
+            if stats_stream is not None:
+                stats_task = asyncio.create_task(
+                    _stats_loop(frontend, stats_stream, stats_interval)
+                )
+            if ready is not None:
+                ready.set()
+            await server.serve_forever()
+    finally:
+        if stats_task is not None:
+            stats_task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await stats_task
+        await frontend.close()
+
+
 async def run_tcp_server(
     frontend: Frontend,
     host: str,
@@ -439,28 +501,10 @@ async def run_tcp_server(
     stats_interval: float = 2.0,
 ) -> None:
     """Serve the line protocol over TCP until cancelled."""
-    await frontend.start()
-    stats_task: asyncio.Task[None] | None = None
-    server = await asyncio.start_server(
-        lambda r, w: _handle_tcp_connection(frontend, r, w), host, port
+    await _serve(
+        frontend, _handle_tcp_connection, host, port,
+        ready, stats_stream, stats_interval,
     )
-    # Port 0 binds an ephemeral port; publish the real one for callers.
-    frontend.bound_port = server.sockets[0].getsockname()[1]
-    if stats_stream is not None:
-        stats_task = asyncio.create_task(
-            _stats_loop(frontend, stats_stream, stats_interval)
-        )
-    try:
-        async with server:
-            if ready is not None:
-                ready.set()
-            await server.serve_forever()
-    finally:
-        if stats_task is not None:
-            stats_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await stats_task
-        await frontend.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -586,24 +630,7 @@ async def run_http_server(
     stats_interval: float = 2.0,
 ) -> None:
     """Serve single-request HTTP (POST /estimate) until cancelled."""
-    await frontend.start()
-    stats_task: asyncio.Task[None] | None = None
-    server = await asyncio.start_server(
-        lambda r, w: _handle_http_connection(frontend, r, w), host, port
+    await _serve(
+        frontend, _handle_http_connection, host, port,
+        ready, stats_stream, stats_interval,
     )
-    frontend.bound_port = server.sockets[0].getsockname()[1]
-    if stats_stream is not None:
-        stats_task = asyncio.create_task(
-            _stats_loop(frontend, stats_stream, stats_interval)
-        )
-    try:
-        async with server:
-            if ready is not None:
-                ready.set()
-            await server.serve_forever()
-    finally:
-        if stats_task is not None:
-            stats_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await stats_task
-        await frontend.close()

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..obs.profile import phase
 
-__all__ = ["StaticGraph", "RootedTree", "GraphValidationError"]
+__all__ = ["StaticGraph", "RootedTree", "ForestLayout", "GraphValidationError"]
 
 
 class GraphValidationError(ValueError):
@@ -408,8 +408,60 @@ class StaticGraph:
 
     def is_forest(self) -> bool:
         """True iff acyclic (``m == n - #components``)."""
+        if self.m >= self.n > 0:
+            return False  # a forest has m <= n - 1; no components pass
         count, _ = self.connected_components()
         return self.m == self.n - count
+
+    @cached_property
+    def rooting(self) -> np.ndarray | None:
+        """Parents of the BFS rooting from vertex 0, or ``None`` if the
+        graph has a cycle.
+
+        :meth:`RootedTree.from_graph`'s parent array (``-1`` at roots),
+        computed on first use and kept with the graph: FAIRROOTED,
+        Cole–Vishkin and exact FAIRTREE root a graph once per process,
+        not once per run or pool chunk.
+        """
+        if not self.is_forest():
+            return None
+        return RootedTree.from_graph(self).parent
+
+    @cached_property
+    def forest_layout(self) -> "ForestLayout | None":
+        """:attr:`rooting` with each vertex's depth and parent edge, or
+        ``None`` if the graph has a cycle.
+
+        Built on first use, by exact FAIRTREE only (see
+        :func:`repro.fast.cfb.cfb_fast`).
+        """
+        parent = self.rooting
+        if parent is None:
+            return None
+        n = self.n
+        roots = np.flatnonzero(parent < 0)
+        kids = np.flatnonzero(parent >= 0)
+        # depth by pointer doubling: depth[v] counts the hops from v to
+        # anc[v], its 2^k-th ancestor or its root; O(log depth) passes
+        depth = (parent >= 0).astype(np.int32)
+        anc = parent.copy()
+        anc[roots] = roots
+        while True:
+            nxt = anc[anc]
+            if np.array_equal(nxt, anc):
+                break
+            depth += depth[anc]
+            anc = nxt
+        # canonical edges are sorted (lo, hi) rows, so a parent link's
+        # undirected index is a binary search on the fused key; it stays
+        # intp, as numpy gathers through int32 indices several times slower
+        link = np.zeros(n, dtype=np.intp)
+        if kids.size:
+            lo = np.minimum(kids, parent[kids])
+            hi = np.maximum(kids, parent[kids])
+            e = self.edges
+            link[kids] = np.searchsorted(e[:, 0] * np.int64(n) + e[:, 1], lo * n + hi)
+        return ForestLayout(parent=parent, depth=depth, link=link, roots=roots)
 
     def subgraph_mask(self, keep: np.ndarray) -> "StaticGraph":
         """Induced subgraph on ``keep`` (bool mask), *preserving* vertex ids.
@@ -666,3 +718,20 @@ class RootedTree:
         """Children of ``v`` (neighbors whose parent is ``v``)."""
         nbrs = self.graph.neighbors(v)
         return nbrs[self.parent[nbrs] == v]
+
+
+@dataclass(frozen=True)
+class ForestLayout:
+    """A forest's rooting as exact FAIRTREE's CNTRLFAIRBIPART calls read it
+    (:attr:`StaticGraph.forest_layout`).
+
+    ``parent`` is :attr:`StaticGraph.rooting` itself (``-1`` at roots),
+    ``depth`` counts the hops from the root, ``link`` is the undirected
+    index (into ``graph.edges``) of the vertex's parent edge (``0`` at
+    roots, where no caller reads it), and ``roots`` lists the roots.
+    """
+
+    parent: np.ndarray = field(repr=False)
+    depth: np.ndarray = field(repr=False)
+    link: np.ndarray = field(repr=False)
+    roots: np.ndarray = field(repr=False)

@@ -87,3 +87,37 @@ class TestAccessors:
             t = random_tree(30, seed=seed)
             assert t.graph.is_tree()
             assert (t.parent < 0).sum() == 1
+
+
+class TestCachedRooting:
+    def test_rooting_matches_from_graph_and_is_cached(self):
+        g = StaticGraph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        assert np.array_equal(g.rooting, RootedTree.from_graph(g).parent)
+        assert g.rooting is g.rooting
+
+    def test_forest_layout(self):
+        for g in (
+            random_tree(60, seed=2).graph,
+            path_graph(9),
+            StaticGraph.from_edges(8, [(0, 5), (5, 2), (3, 4), (6, 7)]),
+            StaticGraph.from_edges(3, []),
+        ):
+            tree = RootedTree.from_graph(g)
+            lay = g.forest_layout
+            assert lay.parent is g.rooting
+            assert np.array_equal(lay.parent, tree.parent)
+            assert np.array_equal(lay.depth, tree.depth)
+            assert np.array_equal(lay.roots, tree.roots)
+            kids = np.nonzero(tree.parent >= 0)[0]
+            ends = np.sort(np.stack([kids, tree.parent[kids]], axis=1), axis=1)
+            assert np.array_equal(g.edges[lay.link[kids]], ends)
+
+    def test_cycles_have_no_rooting(self):
+        from repro.graphs.generators import cycle_graph, grid_graph
+
+        dense = cycle_graph(5)  # m >= n: no components pass needed
+        sparse = StaticGraph.from_edges(6, [(0, 1), (1, 2), (0, 2)])  # m < n
+        for g in (dense, sparse):
+            assert not g.is_forest()
+            assert g.rooting is None and g.forest_layout is None
+        assert grid_graph(3, 3).forest_layout is None

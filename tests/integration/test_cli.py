@@ -4,12 +4,26 @@ import io
 import json
 import os
 import re
+import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.graphs import build_graph
+
+#: Environment for running ``python -m repro`` in a child process.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+
+
+def _repro(*argv, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=CHILD_ENV, text=True, timeout=120, **kwargs,
+    )
 
 
 class TestGraphSpecs:
@@ -472,6 +486,47 @@ class TestOperatorReaderErrors:
             main(argv)
         assert exc_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    """``top`` writing into a pipe whose reader has gone ends quietly; a
+    stats file it cannot read still answers ``cannot read``."""
+
+    @pytest.mark.parametrize("case", ["closed-stdout", "unreadable-stats"])
+    def test_top(self, case, probe_files, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        if case == "closed-stdout":
+            argv = ["top", "--stats-file", probe_files["stats"], "--once"]
+        else:
+            argv = ["top", "--stats-file", str(tmp_path)]
+        try:
+            proc = _repro(*argv, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        if case == "closed-stdout":
+            assert proc.stderr == ""
+        else:
+            assert proc.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+class TestServeListenErrors:
+    def test_port_in_use_starts_no_shard(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            proc = _repro(
+                "serve", "--tcp", f"127.0.0.1:{port}", "--shards", "1",
+                stdin=subprocess.DEVNULL, capture_output=True,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: cannot listen on 127.0.0.1:{port}: Address already in use"
+        ]
+        assert proc.stdout == ""
 
 
 class TestOutputErrors:

@@ -112,8 +112,7 @@ class TestEngineInstrumentation:
             "fair_tree.stage2_resolve",
             "fair_tree.stage3_maximalize",
             "fair_tree.stage4_fallback",
-            "cfb.election",
-            "cfb.bfs",
+            "cfb.forest",
         ):
             assert name in phases, name
 
