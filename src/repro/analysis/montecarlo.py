@@ -137,19 +137,14 @@ def vector_chunk_counts(
 
     Statistically equivalent to :func:`chunk_counts` (same per-trial
     distribution, different stream layout) and several times faster on
-    small/medium graphs.  Only available for algorithms with a registered
-    vector runner — see :func:`repro.fast.batched.vector_runner_for`.
+    small/medium graphs.  Only available for algorithms with a
+    ``union_sweep`` — see :func:`repro.fast.batched.batched_trials`.
     """
     # Imported lazily: repro.fast.batched imports repro.analysis.fairness,
     # and this module is imported during repro.analysis package init.
-    from ..fast.batched import vector_runner_for
+    from ..fast.batched import batched_trials
 
-    runner = vector_runner_for(algorithm)
-    if runner is None:
-        raise ValueError(
-            f"no vectorized runner for algorithm {algorithm.name!r}"
-        )
-    return runner(algorithm, graph, trials, seed)
+    return batched_trials(algorithm, graph, trials, seed).counts
 
 
 def resolve_start_method(context: str | None = None) -> str | None:

@@ -7,15 +7,10 @@ Importing registers the fast algorithms under the names::
 """
 
 from .batched import (
-    batched_color_mis_trials,
-    batched_fair_bipart_trials,
-    batched_fair_rooted_trials,
-    batched_fair_tree_trials,
-    batched_luby_trials,
+    batched_trials,
     disjoint_power,
     disjoint_power_cache_clear,
     disjoint_power_cache_info,
-    vector_runner_for,
 )
 from .blocks import (
     FastColorMIS,
@@ -45,15 +40,10 @@ from .fair_tree import FastFairTree, fair_tree_run
 from .luby import FastLuby, luby_degree_sweep, luby_sweep
 
 __all__ = [
-    "batched_color_mis_trials",
-    "batched_fair_bipart_trials",
-    "batched_fair_rooted_trials",
-    "batched_fair_tree_trials",
-    "batched_luby_trials",
+    "batched_trials",
     "disjoint_power",
     "disjoint_power_cache_clear",
     "disjoint_power_cache_info",
-    "vector_runner_for",
     "FastColorMIS",
     "FastFairBipart",
     "arboricity_coloring_fast",

@@ -24,7 +24,7 @@ from ..core.result import MISResult
 from ..graphs.graph import StaticGraph
 from ..algorithms.fair_bipart import check_block_params, default_block_gamma
 from ..obs.profile import current_profiler
-from .engine import neighbor_any, neighbor_count
+from .engine import UnionSweep, neighbor_any, neighbor_count
 from .luby import luby_sweep
 
 __all__ = [
@@ -141,9 +141,10 @@ def fair_bipart_run(
 ) -> tuple[np.ndarray, dict[str, Any]]:
     """One FAIRBIPART execution with explicit γ; ``(membership, info)``.
 
-    The parameter-free entry point is :meth:`FastFairBipart.run`; the
-    batched runner calls this directly with γ resolved from the *base*
-    graph so every disjoint-union copy behaves like a lone trial.
+    The parameter-free entry point is :meth:`FastFairBipart.run`;
+    :meth:`FastFairBipart.union_sweep` calls this directly with γ resolved
+    from the *base* graph so every disjoint-union copy behaves like a lone
+    trial.
     """
     bits = rng.integers(0, 2, size=graph.n, dtype=np.int64)
     in_block, _, leader_val = construct_block_fast(
@@ -188,6 +189,12 @@ class FastFairBipart:
             if self.gamma is not None
             else default_block_gamma(graph.n, self.gamma_c)
         )
+
+    def union_sweep(self, graph: StaticGraph) -> UnionSweep:
+        """``sweep(union, rng) -> membership`` for unions of copies of
+        *graph*, with γ pinned to *graph*."""
+        gamma = self.resolved_gamma(graph)
+        return lambda union, rng: fair_bipart_run(union, rng, gamma, p=self.p)[0]
 
     def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
         member, info = fair_bipart_run(
@@ -289,8 +296,8 @@ def color_mis_run(
     """One COLORMIS execution with every parameter explicit.
 
     ``(membership, info)``.  ``cap`` is required for
-    ``coloring="arboricity"``.  The batched runner resolves γ, k,
-    iteration budget, and cap from the *base* graph (via
+    ``coloring="arboricity"``.  :meth:`FastColorMIS.union_sweep` resolves
+    γ, k, iteration budget, and cap from the *base* graph (via
     :meth:`FastColorMIS.resolved_params`) so disjoint-union copies run
     with identical parameters to lone trials.
     """
@@ -363,7 +370,7 @@ class FastColorMIS:
         Returns ``{"gamma", "k", "iterations", "cap"}`` (``cap`` is
         ``None`` for the greedy coloring).  All of γ, the palette size k,
         the coloring trial budget, and the arboricity cap depend on the
-        input graph's size/structure, so the batched runner must resolve
+        input graph's size/structure, so :meth:`union_sweep` resolves
         them from the base graph rather than the disjoint union.
         """
         gamma = (
@@ -382,17 +389,21 @@ class FastColorMIS:
             k = self.k if self.k is not None else cap + 1
         return {"gamma": gamma, "k": max(1, k), "iterations": iterations, "cap": cap}
 
-    def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
+    def union_sweep(self, graph: StaticGraph) -> UnionSweep:
+        """``sweep(union, rng) -> membership`` for unions of copies of
+        *graph*, with :meth:`resolved_params` taken from *graph*."""
         params = self.resolved_params(graph)
+        return lambda union, rng: color_mis_run(
+            union, rng, coloring=self.coloring, p=self.p, **params
+        )[0]
+
+    def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
         member, info = color_mis_run(
             graph,
             rng,
-            gamma=params["gamma"],
-            k=params["k"],
-            iterations=params["iterations"],
             coloring=self.coloring,
-            cap=params["cap"],
             p=self.p,
+            **self.resolved_params(graph),
         )
         result = MISResult(membership=member, info=info)
         if self.validate:

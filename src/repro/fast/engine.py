@@ -13,8 +13,11 @@ aligned with them, so staged algorithms can restrict communication to
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
+from ..graphs.graph import StaticGraph
 from ..obs.profile import current_profiler
 
 __all__ = [
@@ -24,6 +27,7 @@ __all__ = [
     "edge_both",
     "priority_keys",
     "MAX_VERTICES",
+    "UnionSweep",
 ]
 
 
@@ -103,6 +107,11 @@ PRIORITY_BITS = 38
 
 #: Largest vertex count whose IDs fit beside the random part of a key.
 MAX_VERTICES = 1 << 24
+
+#: ``sweep(union, rng) -> membership`` over a disjoint union of copies of
+#: one base graph, as a batchable engine's ``union_sweep(graph)`` returns
+#: it (see :func:`repro.fast.batched.batched_trials`).
+UnionSweep = Callable[[StaticGraph, np.random.Generator], np.ndarray]
 
 
 def priority_keys(rng: np.random.Generator, n: int) -> np.ndarray:

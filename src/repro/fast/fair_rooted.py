@@ -16,7 +16,7 @@ from ..core.registry import register
 from ..core.result import MISResult
 from ..graphs.graph import GraphValidationError, RootedTree, StaticGraph
 from ..algorithms.cole_vishkin import cv_reduction_iterations
-from .engine import edge_both, neighbor_any
+from .engine import UnionSweep, edge_both, neighbor_any
 
 __all__ = [
     "FastFairRooted",
@@ -51,7 +51,7 @@ def cole_vishkin_colors(
     ``parent[v]`` must point to a participating parent or be ``-1``;
     non-participants keep color ``-1``.  ``init_colors`` / ``iterations``
     override the defaults (unique ids ``0..n-1``; the reduction count for
-    an ``n``-id palette) — the disjoint-union batched runner pins both to
+    an ``n``-id palette) — :meth:`FastFairRooted.union_sweep` pins both to
     the *base* graph so every copy reduces exactly as a lone trial would.
     """
     if init_colors is None:
@@ -184,6 +184,24 @@ class FastFairRooted:
     @property
     def name(self) -> str:
         return "fair_rooted_fast"
+
+    def union_sweep(self, graph: StaticGraph) -> UnionSweep:
+        """``sweep(union, rng) -> membership`` for unions of copies of
+        *graph*: each copy gets *graph*'s rooting shifted by its offset,
+        and Cole–Vishkin is pinned to *graph*'s size (``base_n``)."""
+        n = graph.n
+        parent = np.asarray(tree_parents(graph, self.tree), dtype=np.int64)
+
+        def sweep(union: StaticGraph, rng: np.random.Generator) -> np.ndarray:
+            copies = union.n // max(n, 1)
+            offsets = (np.arange(copies, dtype=np.int64) * n)[:, None]
+            tiled = np.broadcast_to(parent, (copies, n))
+            union_parent = np.where(
+                tiled >= 0, tiled + offsets, np.int64(-1)
+            ).reshape(-1)
+            return fair_rooted_run(union, union_parent, rng, base_n=n)[0]
+
+        return sweep
 
     def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
         member, info = fair_rooted_run(graph, tree_parents(graph, self.tree), rng)

@@ -28,7 +28,7 @@ from ..graphs.graph import ForestLayout, StaticGraph
 from ..algorithms.fair_tree import default_gamma
 from ..obs.profile import phase
 from .cfb import cfb_fast
-from .engine import neighbor_any
+from .engine import UnionSweep, neighbor_any
 from .luby import luby_sweep
 
 __all__ = ["FastFairTree", "fair_tree_run"]
@@ -110,13 +110,25 @@ class FastFairTree:
     def name(self) -> str:
         return "fair_tree_fast"
 
-    def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
-        gamma = (
+    def resolved_gamma(self, graph: StaticGraph) -> int:
+        """γ this instance would use on *graph* (explicit or size-derived)."""
+        return (
             self.gamma
             if self.gamma is not None
             else default_gamma(graph.n, self.gamma_c)
         )
-        member, info = fair_tree_run(graph, rng, gamma, graph.forest_layout)
+
+    def union_sweep(self, graph: StaticGraph) -> UnionSweep:
+        """``sweep(union, rng) -> membership`` for unions of copies of
+        *graph*, with γ pinned to *graph*.  Unions pass no forest layout,
+        so their CFB calls flood."""
+        gamma = self.resolved_gamma(graph)
+        return lambda union, rng: fair_tree_run(union, rng, gamma)[0]
+
+    def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
+        member, info = fair_tree_run(
+            graph, rng, self.resolved_gamma(graph), graph.forest_layout
+        )
         result = MISResult(membership=member, info=info)
         if self.validate:
             result.validate(graph)

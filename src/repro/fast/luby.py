@@ -18,7 +18,14 @@ from ..core.registry import register
 from ..core.result import MISResult
 from ..graphs.graph import StaticGraph
 from ..obs.profile import current_profiler
-from .engine import edge_both, neighbor_any, neighbor_count, neighbor_max, priority_keys
+from .engine import (
+    UnionSweep,
+    edge_both,
+    neighbor_any,
+    neighbor_count,
+    neighbor_max,
+    priority_keys,
+)
 
 __all__ = ["luby_sweep", "luby_degree_sweep", "FastLuby"]
 
@@ -140,10 +147,17 @@ class FastLuby:
             raise ValueError(f"unknown Luby variant {variant!r}")
         self.variant = variant
         self.validate = validate
+        if variant == "degree":
+            self.union_sweep = None  # the marking variant has no batched path
 
     @property
     def name(self) -> str:
         return "luby_fast" if self.variant == "priority" else "luby_degree_fast"
+
+    def union_sweep(self, graph: StaticGraph) -> UnionSweep:
+        """``sweep(union, rng) -> membership`` for unions of copies of
+        *graph*; the priority variant derives nothing from the size."""
+        return lambda union, rng: luby_sweep(union, rng)[0]
 
     def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
         sweep = luby_sweep if self.variant == "priority" else luby_degree_sweep

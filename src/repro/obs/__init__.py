@@ -48,12 +48,8 @@ from .health import (
 )
 from .export import (
     JsonlSpanSink,
-    SpanCollector,
-    current_collector,
-    install_collector,
     read_spans_jsonl,
     to_chrome_trace,
-    uninstall_collector,
 )
 from .logging import (
     StructLogger,
@@ -139,11 +135,7 @@ __all__ = [
     "run_chunk_with_telemetry",
     "use_trace",
     # export / dashboard
-    "SpanCollector",
     "JsonlSpanSink",
-    "install_collector",
-    "current_collector",
-    "uninstall_collector",
     "read_spans_jsonl",
     "to_chrome_trace",
     "TopDashboard",

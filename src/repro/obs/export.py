@@ -1,11 +1,9 @@
-"""Span export: ring-buffered collection, JSONL sinks, Chrome trace JSON.
+"""Span export: JSONL sinks, Chrome trace JSON.
 
 The spans layer fans completed spans out to registered sinks as plain
 dict records (:func:`repro.obs.spans.register_span_sink`); this module
 provides the consumers:
 
-* :class:`SpanCollector` — a bounded in-memory ring buffer, queryable by
-  trace ID.  :func:`install_collector` registers a process-global one.
 * :class:`JsonlSpanSink` — an append-only JSON-lines file sink (the
   ``--trace-file`` option on ``serve``/``batch``), flushed per record so
   a killed process loses at most the record being written.
@@ -20,63 +18,13 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import deque
 from typing import Any, Iterable, Mapping, TextIO
 
-from .spans import register_span_sink, unregister_span_sink
-
 __all__ = [
-    "SpanCollector",
     "JsonlSpanSink",
     "to_chrome_trace",
     "read_spans_jsonl",
-    "install_collector",
-    "current_collector",
-    "uninstall_collector",
 ]
-
-
-class SpanCollector:
-    """A bounded ring buffer of span records, newest-evicts-oldest.
-
-    Usable directly as a span sink (the instance is callable).  All
-    methods are thread-safe; records are stored as received.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise ValueError("collector capacity must be positive")
-        self.capacity = int(capacity)
-        self._lock = threading.Lock()
-        self._records: deque[dict[str, Any]] = deque(maxlen=self.capacity)
-
-    def __call__(self, record: dict[str, Any]) -> None:
-        with self._lock:
-            self._records.append(record)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def records(self, trace_id: str | None = None) -> list[dict[str, Any]]:
-        """All buffered records, optionally filtered to one trace."""
-        with self._lock:
-            records = list(self._records)
-        if trace_id is None:
-            return records
-        return [r for r in records if r.get("trace_id") == trace_id]
-
-    def trace_ids(self) -> list[str]:
-        """Distinct trace IDs in buffer order (oldest first)."""
-        seen: dict[str, None] = {}
-        for r in self.records():
-            tid = r.get("trace_id")
-            if tid:
-                seen.setdefault(tid, None)
-        return list(seen)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
 
 
 class JsonlSpanSink:
@@ -170,34 +118,3 @@ def to_chrome_trace(
         )
     events.sort(key=lambda e: e["ts"])
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-# --------------------------------------------------------------------- #
-# process-global collector
-# --------------------------------------------------------------------- #
-_collector_lock = threading.Lock()
-_COLLECTOR: SpanCollector | None = None
-
-
-def install_collector(capacity: int = 4096) -> SpanCollector:
-    """Install (or fetch) the process-global ring collector as a sink."""
-    global _COLLECTOR
-    with _collector_lock:
-        if _COLLECTOR is None:
-            _COLLECTOR = SpanCollector(capacity)
-            register_span_sink(_COLLECTOR)
-        return _COLLECTOR
-
-
-def current_collector() -> SpanCollector | None:
-    """The installed global collector, if any."""
-    return _COLLECTOR
-
-
-def uninstall_collector() -> None:
-    """Remove the global collector sink and drop its buffer."""
-    global _COLLECTOR
-    with _collector_lock:
-        if _COLLECTOR is not None:
-            unregister_span_sink(_COLLECTOR)
-            _COLLECTOR = None

@@ -18,8 +18,8 @@ queryable without parsing logs.
 
 Completed spans can additionally be fanned out to registered *span
 sinks* (:func:`register_span_sink`) as plain-dict records — the feed the
-ring-buffered collector and JSONL exporters in :mod:`repro.obs.export`
-consume, and the raw material ``repro trace`` turns into Chrome
+JSONL exporter in :mod:`repro.obs.export` consumes, and the raw
+material ``repro trace`` turns into Chrome
 trace-event JSON.  Sinks are process-global (not contextvar-scoped) so
 records emitted on pool callback threads still land; worker processes
 use :func:`capture_spans` to *replace* any fork-inherited sinks with a

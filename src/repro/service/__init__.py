@@ -22,7 +22,7 @@ See ``docs/SERVICE.md`` for the architecture and request JSON schema,
 
 from .cache import ResultCache, cache_key, evidence_key
 from .estimator import Estimator, RequestHandle
-from .journal import ConvergenceTrace, RequestJournal, TraceFrame
+from .journal import ConvergenceTrace, TraceFrame
 from .precision import Precision, StopDecision, StoppingRule
 from .requests import MODES, PROTOCOL_VERSIONS, EstimateRequest, EstimateResult
 from .scheduler import (
@@ -42,7 +42,6 @@ __all__ = [
     "StopDecision",
     "ConvergenceTrace",
     "TraceFrame",
-    "RequestJournal",
     "MODES",
     "PROTOCOL_VERSIONS",
     "ResultCache",

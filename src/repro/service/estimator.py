@@ -33,7 +33,6 @@ from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, use_registry
 from ..obs.spans import span
 from .cache import ResultCache
-from .journal import RequestJournal
 from .precision import Precision
 from .requests import EstimateRequest, EstimateResult
 from .scheduler import BatchScheduler, Ticket
@@ -150,11 +149,6 @@ class Estimator:
         """The scheduler's :class:`~repro.obs.remote.RemoteTelemetry`
         merge point (worker metric deltas land here)."""
         return self._scheduler.telemetry
-
-    @property
-    def journal(self) -> RequestJournal:
-        """Bounded ring of recent convergence traces (``repro explain``)."""
-        return self._scheduler.journal
 
     def submit(
         self,

@@ -8,27 +8,24 @@ sequence of those evaluations is exactly the Wilson half-width
 trajectory that produced the final ``stopped_early`` /
 ``precision_achieved`` verdict.  A :class:`ConvergenceTrace` records
 that trajectory (one :class:`TraceFrame` per round, plus a frame for a
-prior-only decision), and a bounded per-Estimator
-:class:`RequestJournal` keeps the recent traces so ``repro explain``
-can render any of them after the fact.
+prior-only decision); each result carries its own trace, and
+``repro explain`` renders the ones written to a result file.
 
 Fixed-budget (v1) requests get a degenerate single-frame trace with
 stop reason ``fixed-budget`` — there was no decision to audit, but the
 achieved half-widths are still worth seeing.
 
 Recording is O(rounds) per request (a handful of small frozen records),
-never per-trial, so the journal lives comfortably inside the ≤5%
+never per-trial, so the traces live comfortably inside the ≤5%
 observability-overhead budget.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-__all__ = ["TraceFrame", "ConvergenceTrace", "RequestJournal", "STOP_REASONS"]
+__all__ = ["TraceFrame", "ConvergenceTrace", "STOP_REASONS"]
 
 #: The three ways a request's trial budget can end.
 STOP_REASONS: tuple[str, ...] = ("satisfied", "capped", "fixed-budget")
@@ -192,45 +189,3 @@ class ConvergenceTrace:
                 TraceFrame.from_json(f) for f in obj.get("frames", [])
             ),
         )
-
-
-class RequestJournal:
-    """Thread-safe bounded ring of recent :class:`ConvergenceTrace`\\ s.
-
-    One per :class:`~repro.service.Estimator`; the scheduler records
-    every completed primary request (coalesced subscribers share their
-    primary's trace).  Lookup is by request id (newest match wins) or
-    ``last()``; capacity bounds memory, oldest traces fall off.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._lock = threading.Lock()
-        self._traces: deque[ConvergenceTrace] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
-
-    def record(self, trace: ConvergenceTrace) -> None:
-        with self._lock:
-            self._traces.append(trace)
-
-    def last(self) -> ConvergenceTrace | None:
-        """The most recently recorded trace, or ``None``."""
-        with self._lock:
-            return self._traces[-1] if self._traces else None
-
-    def get(self, request_id: str) -> ConvergenceTrace | None:
-        """The newest trace whose request id equals *request_id*."""
-        with self._lock:
-            for trace in reversed(self._traces):
-                if trace.request_id == request_id:
-                    return trace
-        return None
-
-    def traces(self) -> list[ConvergenceTrace]:
-        """All retained traces, oldest first."""
-        with self._lock:
-            return list(self._traces)

@@ -55,7 +55,6 @@ from ..analysis.fairness import JoinEstimate, z_for_confidence
 from ..analysis.montecarlo import TrialPool, WorkerSet, normalize_jobs
 from ..core.registry import make
 from ..core.result import MISAlgorithm
-from ..fast.batched import vector_runner_for
 from ..graphs.graph import StaticGraph
 from ..obs.logging import get_logger
 from ..obs.metrics import (
@@ -68,7 +67,7 @@ from ..obs.remote import RemoteTelemetry
 from ..obs.spans import bind_trace, current_span_id, current_trace_id, new_trace_id, span
 from ..runtime.rng import as_seed_sequence
 from .cache import ResultCache
-from .journal import ConvergenceTrace, RequestJournal, TraceFrame
+from .journal import ConvergenceTrace, TraceFrame
 from .precision import StoppingRule
 from .requests import EstimateRequest, EstimateResult
 
@@ -209,7 +208,7 @@ class Ticket:
 
 
 class BatchScheduler:
-    """Owns the dispatcher thread, the worker set, and the request journal.
+    """Owns the dispatcher thread and the worker set.
 
     Most callers should use :class:`repro.service.Estimator`, which wraps
     this with a friendlier construction/submission surface.
@@ -298,9 +297,6 @@ class BatchScheduler:
             labelnames=("algorithm",),
         )
         self.chunk_trials = chunk_trials
-        # Decision-audit plane: every primary request's convergence trace
-        # lands here (bounded ring) for `repro explain` / EstimateResult.
-        self.journal = RequestJournal()
         # Cross-process plane: every pool this scheduler opens ships
         # trace context with its chunks and pipes worker metric deltas +
         # span records back through this merge point (repro.obs.remote).
@@ -423,9 +419,9 @@ class BatchScheduler:
         return graph
 
     def _resolve_mode(self, mode: str, algorithm: MISAlgorithm) -> str:
-        runner = vector_runner_for(algorithm)
+        batchable = getattr(algorithm, "union_sweep", None) is not None
         if mode == "auto":
-            if runner is not None:
+            if batchable:
                 return "vectorized"
             # The fallback is a silent throughput cliff (per-trial python
             # loop instead of the batched kernel) — make it observable.
@@ -436,7 +432,7 @@ class BatchScheduler:
                 reason="no vectorized runner registered",
             )
             return "exact"
-        if mode == "vectorized" and runner is None:
+        if mode == "vectorized" and not batchable:
             raise ValueError(
                 f"algorithm {algorithm.name!r} has no vectorized runner; "
                 "use mode='exact' or 'auto'"
@@ -727,9 +723,8 @@ class BatchScheduler:
         self, ticket: Ticket, estimate: JoinEstimate, cached: bool
     ) -> None:
         """Deliver *estimate* to the ticket and every coalesced subscriber
-        still waiting; the ticket's own trace goes to the journal."""
+        still waiting; the ticket's own result carries its trace."""
         trace = self._build_trace(ticket, estimate, cached)
-        self.journal.record(trace)
         with self._lock:
             subscribers = list(ticket.subscribers)
         for target in (ticket, *subscribers):

@@ -5,27 +5,26 @@ import pytest
 
 import repro.fast.batched as batched_module
 from repro.analysis import run_trials
+from repro.analysis.montecarlo import vector_chunk_counts
 from repro.fast.batched import (
-    batched_color_mis_trials,
-    batched_fair_bipart_trials,
-    batched_fair_rooted_trials,
-    batched_fair_tree_trials,
-    batched_luby_trials,
+    batched_trials,
     disjoint_power,
     disjoint_power_cache_clear,
     disjoint_power_cache_info,
-    vector_runner_for,
 )
 from repro.fast.blocks import FastColorMIS, FastFairBipart
 from repro.fast.fair_rooted import FastFairRooted
 from repro.fast.fair_tree import FastFairTree
 from repro.fast.luby import FastLuby
 from repro.graphs.generators import (
+    complete_tree,
+    grid_graph,
     path_graph,
     random_planar_like,
     random_tree,
     star_graph,
 )
+from repro.graphs.graph import RootedTree
 from repro.obs.profile import use_profiler
 
 
@@ -62,20 +61,20 @@ class TestDisjointPower:
 class TestBatchedLuby:
     def test_counts_bounded(self):
         g = random_tree(20, seed=1).graph
-        est = batched_luby_trials(g, trials=100, seed=0, batch=32)
+        est = batched_trials(FastLuby(), g, trials=100, seed=0, batch=32)
         assert est.trials == 100
         assert est.counts.max() <= 100
 
     def test_partial_final_batch(self):
         g = path_graph(6)
-        est = batched_luby_trials(g, trials=70, seed=0, batch=32)
+        est = batched_trials(FastLuby(), g, trials=70, seed=0, batch=32)
         assert est.trials == 70
 
     def test_agrees_with_serial_distribution(self):
         """Batched and serial are the same distribution (different stream
         layout), so estimates must agree within sampling error."""
         g = random_tree(25, seed=2).graph
-        batched = batched_luby_trials(g, trials=3000, seed=1, batch=64)
+        batched = batched_trials(FastLuby(), g, trials=3000, seed=1, batch=64)
         serial = run_trials(FastLuby(), g, 3000, seed=2)
         se = np.sqrt(2 * 0.25 / 3000)
         assert np.all(
@@ -84,12 +83,12 @@ class TestBatchedLuby:
 
     def test_star_center_probability(self):
         n = 16
-        est = batched_luby_trials(star_graph(n), trials=4000, seed=3)
+        est = batched_trials(FastLuby(), star_graph(n), trials=4000, seed=3)
         assert est.probabilities[0] == pytest.approx(1 / n, abs=0.02)
 
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
-            batched_luby_trials(path_graph(3), trials=0)
+            batched_trials(FastLuby(), path_graph(3), trials=0)
 
     def test_union_capped_at_vertex_limit(self, monkeypatch):
         """A union never exceeds the fast engines' vertex limit: the cap
@@ -97,16 +96,16 @@ class TestBatchedLuby:
         monkeypatch.setattr(batched_module, "MAX_VERTICES", 100)
         g = path_graph(30)
         with use_profiler() as prof:
-            capped = batched_luby_trials(g, trials=10, seed=0, batch=64)
+            capped = batched_trials(FastLuby(), g, trials=10, seed=0, batch=64)
         assert prof.report()["phases"]["batched.sweep"]["calls"] == 4
-        small = batched_luby_trials(g, trials=10, seed=0, batch=3)
+        small = batched_trials(FastLuby(), g, trials=10, seed=0, batch=3)
         assert np.array_equal(capped.counts, small.counts)
 
 
 class TestBatchedFairTree:
     def test_counts_bounded(self):
         g = random_tree(20, seed=1).graph
-        est = batched_fair_tree_trials(g, trials=80, seed=0, batch=32)
+        est = batched_trials(FastFairTree(), g, trials=80, seed=0, batch=32)
         assert est.trials == 80
 
     def test_gamma_pinned_to_base_graph(self):
@@ -116,8 +115,8 @@ class TestBatchedFairTree:
 
         g = path_graph(12)
         gamma = default_gamma(12)
-        batched = batched_fair_tree_trials(
-            g, trials=2500, seed=1, batch=50, gamma=gamma
+        batched = batched_trials(
+            FastFairTree(gamma=gamma), g, trials=2500, seed=1, batch=50
         )
         serial = run_trials(FastFairTree(gamma=gamma), g, 2500, seed=2)
         assert np.all(
@@ -126,7 +125,7 @@ class TestBatchedFairTree:
 
     def test_theorem8_holds_batched(self):
         g = random_tree(40, seed=5).graph
-        est = batched_fair_tree_trials(g, trials=2000, seed=0)
+        est = batched_trials(FastFairTree(), g, trials=2000, seed=0)
         slack = 3 * np.sqrt(0.25 * 0.75 / 2000)
         assert est.min_probability >= 0.25 - slack
 
@@ -194,13 +193,15 @@ class TestUnionMemo:
 class TestBatchedFairRooted:
     def test_counts_bounded(self):
         g = random_tree(20, seed=1).graph
-        est = batched_fair_rooted_trials(g, trials=90, seed=0, batch=32)
+        est = batched_trials(FastFairRooted(), g, trials=90, seed=0, batch=32)
         assert est.trials == 90
         assert est.counts.max() <= 90 and est.counts.min() >= 0
 
     def test_agrees_with_serial_distribution(self):
         g = random_tree(25, seed=2).graph
-        batched = batched_fair_rooted_trials(g, trials=3000, seed=1, batch=64)
+        batched = batched_trials(
+            FastFairRooted(), g, trials=3000, seed=1, batch=64
+        )
         serial = run_trials(FastFairRooted(), g, 3000, seed=2)
         se = np.sqrt(2 * 0.25 / 3000)
         assert np.all(
@@ -238,19 +239,21 @@ class TestBatchedFairRooted:
 
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
-            batched_fair_rooted_trials(path_graph(3), trials=0)
+            batched_trials(FastFairRooted(), path_graph(3), trials=0)
 
 
 class TestBatchedFairBipart:
     def test_counts_bounded(self):
         g = random_planar_like(24, seed=1)
-        est = batched_fair_bipart_trials(g, trials=90, seed=0, batch=32)
+        est = batched_trials(FastFairBipart(), g, trials=90, seed=0, batch=32)
         assert est.trials == 90
         assert est.counts.max() <= 90 and est.counts.min() >= 0
 
     def test_agrees_with_serial_distribution(self):
         g = random_planar_like(24, seed=2)
-        batched = batched_fair_bipart_trials(g, trials=3000, seed=1, batch=64)
+        batched = batched_trials(
+            FastFairBipart(), g, trials=3000, seed=1, batch=64
+        )
         serial = run_trials(FastFairBipart(), g, 3000, seed=2)
         se = np.sqrt(2 * 0.25 / 3000)
         assert np.all(
@@ -272,19 +275,21 @@ class TestBatchedFairBipart:
 
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
-            batched_fair_bipart_trials(path_graph(3), trials=0)
+            batched_trials(FastFairBipart(), path_graph(3), trials=0)
 
 
 class TestBatchedColorMIS:
     def test_counts_bounded(self):
         g = random_planar_like(24, seed=1)
-        est = batched_color_mis_trials(g, trials=90, seed=0, batch=32)
+        est = batched_trials(FastColorMIS(), g, trials=90, seed=0, batch=32)
         assert est.trials == 90
         assert est.counts.max() <= 90 and est.counts.min() >= 0
 
     def test_agrees_with_serial_distribution(self):
         g = random_planar_like(24, seed=2)
-        batched = batched_color_mis_trials(g, trials=3000, seed=1, batch=64)
+        batched = batched_trials(
+            FastColorMIS(), g, trials=3000, seed=1, batch=64
+        )
         serial = run_trials(FastColorMIS(), g, 3000, seed=2)
         se = np.sqrt(2 * 0.25 / 3000)
         assert np.all(
@@ -293,8 +298,8 @@ class TestBatchedColorMIS:
 
     def test_arboricity_agrees_with_serial_distribution(self):
         g = random_planar_like(24, seed=3)
-        batched = batched_color_mis_trials(
-            g, trials=3000, seed=1, batch=64, coloring="arboricity"
+        batched = batched_trials(
+            FastColorMIS(coloring="arboricity"), g, trials=3000, seed=1, batch=64
         )
         serial = run_trials(FastColorMIS(coloring="arboricity"), g, 3000, seed=2)
         se = np.sqrt(2 * 0.25 / 3000)
@@ -323,7 +328,7 @@ class TestBatchedColorMIS:
 
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
-            batched_color_mis_trials(path_graph(3), trials=0)
+            batched_trials(FastColorMIS(), path_graph(3), trials=0)
 
 
 class TestParameterPinning:
@@ -342,7 +347,7 @@ class TestParameterPinning:
             return real(n, parent, participating, init_colors, iterations)
 
         monkeypatch.setattr(fr, "cole_vishkin_colors", spy)
-        batched_fair_rooted_trials(g, trials=8, seed=0, batch=8)
+        batched_trials(FastFairRooted(), g, trials=8, seed=0, batch=8)
         assert len(seen) == 1
         union_n, init_colors, iterations = seen[0]
         assert union_n == 160
@@ -362,7 +367,7 @@ class TestParameterPinning:
             return real(graph, rng, gamma, values, mode, value_base, p)
 
         monkeypatch.setattr(blocks, "construct_block_fast", spy)
-        batched_fair_bipart_trials(g, trials=6, seed=0, batch=6)
+        batched_trials(FastFairBipart(), g, trials=6, seed=0, batch=6)
         assert seen == [(144, default_block_gamma(24, 2.0), "bit", 2)]
 
     def test_color_mis_params_pinned_to_base(self, monkeypatch):
@@ -386,7 +391,7 @@ class TestParameterPinning:
 
         monkeypatch.setattr(blocks, "greedy_coloring_fast", color_spy)
         monkeypatch.setattr(blocks, "construct_block_fast", block_spy)
-        batched_color_mis_trials(g, trials=5, seed=0, batch=5)
+        batched_trials(FastColorMIS(), g, trials=5, seed=0, batch=5)
         assert seen["iterations"] == expected["iterations"]
         assert seen["iterations"] == color_mis_iterations(24)
         assert seen["iterations"] != color_mis_iterations(24 * 5)
@@ -407,7 +412,9 @@ class TestParameterPinning:
             return real(graph, rng, cap, iterations)
 
         monkeypatch.setattr(blocks, "arboricity_coloring_fast", spy)
-        batched_color_mis_trials(g, trials=5, seed=0, batch=5, coloring="arboricity")
+        batched_trials(
+            FastColorMIS(coloring="arboricity"), g, trials=5, seed=0, batch=5
+        )
         assert seen["cap"] == expected["cap"]
         assert seen["iterations"] == expected["iterations"]
 
@@ -423,14 +430,224 @@ class TestVectorRunnerRegistry:
             FastColorMIS(coloring="arboricity"),
         ]
         for algorithm in algorithms:
-            assert vector_runner_for(algorithm) is not None, algorithm.name
+            assert algorithm.union_sweep is not None, algorithm.name
 
     def test_unbatchable_variant_returns_none(self):
-        assert vector_runner_for(FastLuby(variant="degree")) is None
+        assert FastLuby(variant="degree").union_sweep is None
 
     def test_runner_output_matches_direct_batched_call(self):
         g = random_tree(20, seed=7).graph
-        runner = vector_runner_for(FastFairRooted())
-        counts = runner(FastFairRooted(), g, 40, 9)
-        direct = batched_fair_rooted_trials(g, trials=40, seed=9).counts
+        counts = vector_chunk_counts(FastFairRooted(), g, 9, 40)
+        direct = batched_trials(FastFairRooted(), g, trials=40, seed=9).counts
         assert np.array_equal(counts, direct)
+
+
+# --------------------------------------------------------------------- #
+# Reference: the per-algorithm batched runners that each derived the
+# base-graph parameters themselves, kept verbatim as the oracle for the
+# engines' own union sweeps.
+# --------------------------------------------------------------------- #
+def _reference_counts(graph, trials, seed, batch, sweep):
+    from repro.analysis.fairness import JoinEstimate
+    from repro.runtime.rng import generator_from
+
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    rng = generator_from(seed)
+    n = graph.n
+    fits = max(1, batched_module.MAX_VERTICES // max(n, 1))
+    counts = np.zeros(n, dtype=np.int64)
+    done = 0
+    while done < trials:
+        copies = min(batch, fits, trials - done)
+        union = disjoint_power(graph, copies)
+        member = sweep(union, rng)
+        counts += member.reshape(copies, n).sum(axis=0).astype(np.int64)
+        done += copies
+    return JoinEstimate(counts=counts, trials=trials)
+
+
+def reference_luby_trials(graph, trials, seed=None, batch=64):
+    from repro.fast.luby import luby_sweep
+
+    return _reference_counts(
+        graph, trials, seed, batch, lambda union, rng: luby_sweep(union, rng)[0]
+    )
+
+
+def reference_fair_tree_trials(
+    graph, trials, seed=None, batch=64, gamma_c=3.0, gamma=None
+):
+    from repro.algorithms.fair_tree import default_gamma
+    from repro.fast.fair_tree import fair_tree_run
+
+    g_eff = gamma if gamma is not None else default_gamma(graph.n, gamma_c)
+    return _reference_counts(
+        graph,
+        trials,
+        seed,
+        batch,
+        lambda union, rng: fair_tree_run(union, rng, gamma=g_eff)[0],
+    )
+
+
+def reference_fair_rooted_trials(graph, trials, seed=None, batch=64, parent=None):
+    from repro.fast.fair_rooted import fair_rooted_run, tree_parents
+
+    n = graph.n
+    if parent is None:
+        parent = tree_parents(graph)
+    parent = np.asarray(parent, dtype=np.int64)
+
+    def sweep(union, rng):
+        copies = union.n // max(n, 1)
+        union_parent = parent
+        if copies > 1:
+            offsets = (np.arange(copies, dtype=np.int64) * n)[:, None]
+            tiled = np.broadcast_to(parent, (copies, n))
+            union_parent = np.where(
+                tiled >= 0, tiled + offsets, np.int64(-1)
+            ).reshape(-1)
+        return fair_rooted_run(union, union_parent, rng, base_n=n)[0]
+
+    return _reference_counts(graph, trials, seed, batch, sweep)
+
+
+def reference_fair_bipart_trials(
+    graph, trials, seed=None, batch=64, gamma_c=2.0, gamma=None, p=0.5
+):
+    from repro.algorithms.fair_bipart import default_block_gamma
+    from repro.fast.blocks import fair_bipart_run
+
+    g_eff = gamma if gamma is not None else default_block_gamma(graph.n, gamma_c)
+    return _reference_counts(
+        graph,
+        trials,
+        seed,
+        batch,
+        lambda union, rng: fair_bipart_run(union, rng, g_eff, p=p)[0],
+    )
+
+
+def reference_color_mis_trials(
+    graph,
+    trials,
+    seed=None,
+    batch=64,
+    k=None,
+    coloring="greedy",
+    gamma_c=2.0,
+    gamma=None,
+    p=0.5,
+):
+    from repro.fast.blocks import color_mis_run
+
+    params = FastColorMIS(
+        k=k, coloring=coloring, gamma_c=gamma_c, gamma=gamma, p=p
+    ).resolved_params(graph)
+
+    def sweep(union, rng):
+        return color_mis_run(
+            union,
+            rng,
+            gamma=params["gamma"],
+            k=params["k"],
+            iterations=params["iterations"],
+            coloring=coloring,
+            cap=params["cap"],
+            p=p,
+        )[0]
+
+    return _reference_counts(graph, trials, seed, batch, sweep)
+
+
+def reference_trials(algorithm, graph, trials, seed, batch):
+    """The old per-class adapters: copy the engine's fields into its runner."""
+    if isinstance(algorithm, FastLuby):
+        return reference_luby_trials(graph, trials, seed, batch)
+    if isinstance(algorithm, FastFairTree):
+        return reference_fair_tree_trials(
+            graph, trials, seed, batch, algorithm.gamma_c, algorithm.gamma
+        )
+    if isinstance(algorithm, FastFairRooted):
+        tree = algorithm.tree
+        return reference_fair_rooted_trials(
+            graph, trials, seed, batch, None if tree is None else tree.parent
+        )
+    if isinstance(algorithm, FastFairBipart):
+        return reference_fair_bipart_trials(
+            graph, trials, seed, batch, algorithm.gamma_c, algorithm.gamma,
+            algorithm.p,
+        )
+    return reference_color_mis_trials(
+        graph, trials, seed, batch, algorithm.k, algorithm.coloring,
+        algorithm.gamma_c, algorithm.gamma, algorithm.p,
+    )
+
+
+def _reference_graphs(cycles):
+    graphs = [
+        random_tree(30, seed=1).graph,
+        random_tree(200, seed=2).graph,
+        path_graph(17),
+        star_graph(12),
+        complete_tree(2, 5).graph,
+    ]
+    return graphs + [grid_graph(4, 5)] if cycles else graphs
+
+
+def _rooted_elsewhere(g):
+    return FastFairRooted(tree=RootedTree.from_graph(g, root=g.n // 2))
+
+
+# ``make(graph) -> algorithm`` and whether the engine accepts cycles.  At
+# the default scales γ truncates so rarely that a γ taken from the union
+# hardly shows; the small-scale ``_c`` configurations make it show.
+_CONFIGS = [
+    pytest.param(lambda g: FastLuby(), True, id="luby"),
+    pytest.param(lambda g: FastFairTree(), False, id="fair_tree"),
+    pytest.param(lambda g: FastFairTree(gamma=2), False, id="fair_tree_g2"),
+    pytest.param(lambda g: FastFairTree(gamma=4), False, id="fair_tree_g4"),
+    pytest.param(lambda g: FastFairTree(gamma_c=0.5), False, id="fair_tree_c"),
+    pytest.param(lambda g: FastFairRooted(), False, id="fair_rooted"),
+    pytest.param(_rooted_elsewhere, False, id="fair_rooted_elsewhere"),
+    pytest.param(lambda g: FastFairBipart(), True, id="fair_bipart"),
+    pytest.param(
+        lambda g: FastFairBipart(gamma=3, p=0.4), True, id="fair_bipart_gamma_p"
+    ),
+    pytest.param(lambda g: FastFairBipart(gamma_c=0.25), True, id="fair_bipart_c"),
+    pytest.param(lambda g: FastColorMIS(), True, id="color_mis"),
+    pytest.param(
+        lambda g: FastColorMIS(coloring="arboricity"), True, id="color_mis_arb"
+    ),
+    pytest.param(lambda g: FastColorMIS(k=7), True, id="color_mis_k"),
+    pytest.param(lambda g: FastColorMIS(gamma_c=0.25), True, id="color_mis_c"),
+]
+
+
+class TestReferenceSweep:
+    """Each engine's ``union_sweep`` pins exactly what the old per-engine
+    runners pinned: :func:`batched_trials` equals them bit for bit."""
+
+    @pytest.mark.parametrize("make, cycles", _CONFIGS)
+    def test_counts_equal_reference(self, make, cycles):
+        for seed, g in enumerate(_reference_graphs(cycles)):
+            alg = make(g)
+            for trials in (1, 5, 130):
+                for batch in (1, 3, 64):
+                    got = batched_trials(alg, g, trials, seed=seed, batch=batch)
+                    want = reference_trials(alg, g, trials, seed, batch)
+                    case = (g.n, trials, batch)
+                    assert got.trials == want.trials == trials, case
+                    assert np.array_equal(got.counts, want.counts), case
+
+    @pytest.mark.parametrize("make, cycles", _CONFIGS)
+    def test_union_cap_equals_reference(self, make, cycles, monkeypatch):
+        monkeypatch.setattr(batched_module, "MAX_VERTICES", 100)
+        g = random_tree(30, seed=3).graph
+        alg = make(g)
+        with use_profiler() as prof:
+            got = batched_trials(alg, g, 10, seed=4, batch=64)
+        assert prof.report()["phases"]["batched.sweep"]["calls"] == 4
+        want = reference_trials(alg, g, 10, 4, 64)
+        assert np.array_equal(got.counts, want.counts)

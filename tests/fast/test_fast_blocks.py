@@ -12,11 +12,7 @@ from repro.algorithms import ColorMIS, FairBipart
 from repro.algorithms.fair_bipart import default_block_gamma
 from repro.analysis import is_maximal_independent_set, run_trials
 from repro.cli import _service_loop
-from repro.fast.batched import (
-    batched_color_mis_trials,
-    batched_fair_bipart_trials,
-    disjoint_power,
-)
+from repro.fast.batched import batched_trials, disjoint_power
 from repro.fast.blocks import (
     FastColorMIS,
     FastFairBipart,
@@ -282,8 +278,8 @@ class TestColumnPassMatchesSuperrounds:
             for seed, g in enumerate(graphs):
                 for alg in (FastFairBipart(), FastColorMIS()):
                     out.append(run_trials(alg, g, 30, seed=seed).counts)
-                out.append(batched_fair_bipart_trials(g, 70, seed=seed).counts)
-                out.append(batched_color_mis_trials(g, 70, seed=seed).counts)
+                for alg in (FastFairBipart(), FastColorMIS()):
+                    out.append(batched_trials(alg, g, 70, seed=seed).counts)
             return out
 
         got = counts()

@@ -6,7 +6,7 @@ import pytest
 import repro.fast.fair_tree as fast_fair_tree
 from repro.analysis import is_maximal_independent_set, run_trials
 from repro.experiments.datasets import table1_trees
-from repro.fast.batched import batched_fair_tree_trials
+from repro.fast.batched import batched_trials
 from repro.fast.cfb import cfb_fast
 from repro.fast.engine import neighbor_count
 from repro.fast.fair_tree import FastFairTree
@@ -207,9 +207,8 @@ class TestSettledFloodMatchesFullSchedule:
                 small = g.n < 100
                 alg = FastFairTree(gamma=gamma)
                 out.append(run_trials(alg, g, 40 if small else 6, seed=seed).counts)
-                batched = batched_fair_tree_trials(
-                    g, 70 if small else 6, seed=seed, batch=32 if small else 3,
-                    gamma=gamma,
+                batched = batched_trials(
+                    alg, g, 70 if small else 6, seed=seed, batch=32 if small else 3
                 )
                 out.append(batched.counts)
             return out

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import is_maximal_independent_set, run_trials
-from repro.fast.batched import batched_fair_rooted_trials, vector_runner_for
+from repro.analysis.montecarlo import vector_chunk_counts
+from repro.fast.batched import batched_trials
 from repro.fast.fair_rooted import (
     FastColeVishkin,
     FastFairRooted,
@@ -101,9 +102,9 @@ class TestCachedRooting:
             got = run_trials(cls(), g, 30, seed=2).counts
             want = run_trials(cls(tree=explicit), g, 30, seed=2).counts
             assert np.array_equal(got, want)
-        batched = batched_fair_rooted_trials(g, 40, seed=3, batch=16)
-        pinned = batched_fair_rooted_trials(
-            g, 40, seed=3, batch=16, parent=explicit.parent
+        batched = batched_trials(FastFairRooted(), g, 40, seed=3, batch=16)
+        pinned = batched_trials(
+            FastFairRooted(tree=explicit), g, 40, seed=3, batch=16
         )
         assert np.array_equal(batched.counts, pinned.counts)
 
@@ -121,8 +122,7 @@ class TestCachedRooting:
         FastFairRooted().run(g, rng)
         FastFairRooted().run(g, rng)
         FastColeVishkin().run(g, rng)
-        runner = vector_runner_for(FastFairRooted())
-        runner(FastFairRooted(), g, 8, 0)
+        vector_chunk_counts(FastFairRooted(), g, 0, 8)
         assert len(calls) == 1
 
     def test_explicit_tree_wins(self):
@@ -133,8 +133,8 @@ class TestCachedRooting:
             default = run_trials(cls(), t.graph, 20, seed=5).counts
             assert not np.array_equal(got, default)  # another rooting
         alg = FastFairRooted(tree=other)
-        via_runner = vector_runner_for(alg)(alg, t.graph, 24, 9)
-        pinned = batched_fair_rooted_trials(t.graph, 24, seed=9, parent=other.parent)
+        via_runner = vector_chunk_counts(alg, t.graph, 9, 24)
+        pinned = batched_trials(FastFairRooted(tree=other), t.graph, 24, seed=9)
         assert np.array_equal(via_runner, pinned.counts)
 
     @pytest.mark.parametrize("graph", [cycle_graph(6), grid_graph(3, 3)])
@@ -144,4 +144,4 @@ class TestCachedRooting:
             with pytest.raises(GraphValidationError):
                 alg.run(graph, rng)
         with pytest.raises(GraphValidationError):
-            batched_fair_rooted_trials(graph, 4, seed=0)
+            batched_trials(FastFairRooted(), graph, 4, seed=0)

@@ -1,20 +1,11 @@
-"""Span export: ring collector, JSONL sinks, Chrome trace rendering."""
+"""Span export: JSONL sinks, Chrome trace rendering."""
 
 import io
 import json
 
 import pytest
 
-from repro.obs.export import (
-    JsonlSpanSink,
-    SpanCollector,
-    current_collector,
-    install_collector,
-    read_spans_jsonl,
-    to_chrome_trace,
-    uninstall_collector,
-)
-from repro.obs.spans import capture_spans, span
+from repro.obs.export import JsonlSpanSink, read_spans_jsonl, to_chrome_trace
 
 
 def _record(name="op", trace="t1", span_id="s1", parent=None, ts=1.0, dur=0.5):
@@ -29,42 +20,6 @@ def _record(name="op", trace="t1", span_id="s1", parent=None, ts=1.0, dur=0.5):
         "tid": 7,
         "fields": {"algorithm": "luby_fast"},
     }
-
-
-class TestSpanCollector:
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            SpanCollector(0)
-
-    def test_ring_evicts_oldest(self):
-        coll = SpanCollector(capacity=3)
-        for i in range(5):
-            coll(_record(name=f"op{i}"))
-        assert len(coll) == 3
-        assert [r["name"] for r in coll.records()] == ["op2", "op3", "op4"]
-
-    def test_filter_by_trace_and_trace_ids_order(self):
-        coll = SpanCollector(capacity=8)
-        coll(_record(trace="t1", span_id="a"))
-        coll(_record(trace="t2", span_id="b"))
-        coll(_record(trace="t1", span_id="c"))
-        assert [r["span_id"] for r in coll.records("t1")] == ["a", "c"]
-        assert coll.trace_ids() == ["t1", "t2"]
-
-    def test_clear(self):
-        coll = SpanCollector(capacity=4)
-        coll(_record())
-        coll.clear()
-        assert len(coll) == 0
-        assert coll.trace_ids() == []
-
-    def test_usable_as_span_sink(self):
-        coll = SpanCollector(capacity=4)
-        with capture_spans(coll):
-            with span("collected.op"):
-                pass
-        (rec,) = coll.records()
-        assert rec["name"] == "collected.op"
 
 
 class TestJsonlSink:
@@ -134,24 +89,3 @@ class TestChromeTrace:
     def test_output_is_json_serializable(self):
         doc = to_chrome_trace([_record()])
         json.dumps(doc)  # must not raise
-
-
-class TestGlobalCollector:
-    def teardown_method(self):
-        uninstall_collector()
-
-    def test_install_is_idempotent_and_receives_spans(self):
-        coll = install_collector(capacity=16)
-        assert install_collector() is coll
-        assert current_collector() is coll
-        with span("global.op"):
-            pass
-        assert "global.op" in [r["name"] for r in coll.records()]
-
-    def test_uninstall_stops_collection(self):
-        coll = install_collector(capacity=16)
-        uninstall_collector()
-        assert current_collector() is None
-        with span("after.uninstall"):
-            pass
-        assert "after.uninstall" not in [r["name"] for r in coll.records()]

@@ -125,10 +125,11 @@ class TestEngineInstrumentation:
         assert rounds["rounds"] == result.info["iterations"]
 
     def test_batched_phases(self):
-        from repro.fast.batched import batched_luby_trials
+        from repro.fast.batched import batched_trials
+        from repro.fast.luby import FastLuby
 
         with use_profiler() as prof:
-            batched_luby_trials(self._tree(), 8, seed=0, batch=4)
+            batched_trials(FastLuby(), self._tree(), 8, seed=0, batch=4)
         phases = prof.report()["phases"]
         assert phases["batched.union"]["calls"] == 2
         assert phases["batched.sweep"]["calls"] == 2

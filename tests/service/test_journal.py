@@ -1,16 +1,10 @@
-"""Convergence traces, the request journal, and `repro explain`."""
+"""Convergence traces and `repro explain`."""
 
 import json
 
 import pytest
 
-from repro.service import (
-    ConvergenceTrace,
-    Estimator,
-    Precision,
-    RequestJournal,
-    TraceFrame,
-)
+from repro.service import ConvergenceTrace, Estimator, Precision, TraceFrame
 
 
 def frame(round=1, trials=64, hw=0.1, satisfied=False, capped=False, **kw):
@@ -93,36 +87,6 @@ class TestConvergenceTrace:
         assert back == t
 
 
-class TestRequestJournal:
-    def test_capacity_bounds_ring(self):
-        j = RequestJournal(capacity=2)
-        for i in range(4):
-            j.record(trace(request_id=f"r{i}"))
-        assert len(j) == 2
-        assert j.get("r0") is None and j.get("r3") is not None
-
-    def test_last_and_get_newest_match(self):
-        j = RequestJournal()
-        first = trace(request_id="dup", new_trials=1)
-        second = trace(request_id="dup", new_trials=2)
-        j.record(first)
-        j.record(second)
-        assert j.last() is second
-        assert j.get("dup") is second
-        assert j.get("missing") is None
-
-    def test_traces_oldest_first(self):
-        j = RequestJournal()
-        a, b = trace(request_id="a"), trace(request_id="b")
-        j.record(a)
-        j.record(b)
-        assert j.traces() == [a, b]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RequestJournal(capacity=0)
-
-
 class TestEndToEnd:
     def test_cold_precision_request_traces_rounds(self):
         with Estimator(n_jobs=1) as svc:
@@ -134,9 +98,7 @@ class TestEndToEnd:
                 trace=True,
                 request_id="probe",
             )
-            recorded = svc.journal.get("probe")
         t = result.convergence
-        assert t is recorded
         # A cold default-precision request cannot close its CI in the
         # first 64-trial round, so the audit has at least two rounds.
         assert t.rounds >= 2

@@ -128,15 +128,13 @@ class TestServiceMetrics:
         import os
 
         from repro.graphs.spec import build_graph as _build
-        from repro.obs.export import (
-            install_collector,
-            to_chrome_trace,
-            uninstall_collector,
-        )
+        from repro.obs.export import to_chrome_trace
         from repro.obs.metrics import parse_label_key
+        from repro.obs.spans import register_span_sink, unregister_span_sink
 
         graph = _build("tree:63")
-        collector = install_collector(capacity=4096)
+        collected = []
+        register_span_sink(collected.append)
         try:
             # clamp_to_host=False: the point is exercising the
             # cross-process plane even on a small CI box
@@ -164,9 +162,9 @@ class TestServiceMetrics:
                 merged = service.registry.counter(
                     "telemetry_chunks_merged_total"
                 ).value
-            records = collector.records(trace_id)
         finally:
-            uninstall_collector()
+            unregister_span_sink(collected.append)
+        records = [r for r in collected if r.get("trace_id") == trace_id]
 
         assert merged >= 1
         chunk_series = snap["histograms"]["worker_chunk_seconds"]
