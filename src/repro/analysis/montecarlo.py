@@ -105,23 +105,35 @@ def chunk_counts(
     This is *the* unit of work: each trial gets its own generator built
     from its own spawned seed, so any partition of the seed list — serial,
     strided across a pool, or interleaved by the service scheduler —
-    produces bit-identical totals.
+    produces bit-identical totals.  An algorithm with a ``union_sweep``
+    runs its trials as disjoint unions whose copies draw from their own
+    trials' generators (:func:`repro.fast.batched.exact_counts`); any
+    other runs them one at a time.
     """
-    counts = np.zeros(graph.n, dtype=np.int64)
     # Registry-family resolution is hoisted out of the per-trial loop and
     # observations are flushed in one batch per chunk: the per-trial cost
     # is a list append, keeping instrumentation under the benchmarked 5%
     # overhead bound.
     rounds_hist = trial_rounds_histogram(algorithm.name)
     trial_rounds: list[int] = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        result = algorithm.run(graph, rng)
+    if getattr(algorithm, "union_sweep", None) is not None:
+        # Imported lazily, as in vector_chunk_counts below.
+        from ..fast.batched import exact_counts
+
+        counts, union_rounds = exact_counts(algorithm, graph, seeds)
         if rounds_hist is not None:
-            rounds = result.rounds or result.info.get("iterations", 0)
-            if rounds:
-                trial_rounds.append(int(rounds))
-        counts += result.membership
+            for rounds in union_rounds:
+                trial_rounds.extend(int(r) for r in rounds if r)
+    else:
+        counts = np.zeros(graph.n, dtype=np.int64)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            result = algorithm.run(graph, rng)
+            if rounds_hist is not None:
+                rounds = result.rounds or result.info.get("iterations", 0)
+                if rounds:
+                    trial_rounds.append(int(rounds))
+            counts += result.membership
     if rounds_hist is not None:
         rounds_hist.observe_many(trial_rounds)
     return counts

@@ -42,6 +42,7 @@ negative = all cores, ``k > 1`` = that many worker processes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -627,6 +628,29 @@ def _render_trace(trace) -> str:
     return "\n".join(lines)
 
 
+def _reader(command):
+    """An operator command that prints what it reads and ends quietly,
+    exit 1, when stdout's reader has gone (``repro health ... | head
+    -1``): a closed pipe is no read error.  /dev/null then goes under
+    stdout, so the interpreter's exit-time flush has nowhere to fail."""
+
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> None:
+        try:
+            try:
+                command(args)
+            finally:
+                sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise SystemExit(1)
+
+    return run
+
+
+@_reader
 def _cmd_explain(args: argparse.Namespace) -> None:
     """Render a request's convergence trace (why the estimator stopped).
 
@@ -682,6 +706,7 @@ def _newest_snapshot(path: str) -> dict:
     return snapshot
 
 
+@_reader
 def _cmd_evidence(args: argparse.Namespace) -> None:
     """Tabulate (``ls``) or dump (``show``) the pooled evidence plane.
 
@@ -734,6 +759,7 @@ def _cmd_evidence(args: argparse.Namespace) -> None:
         )
 
 
+@_reader
 def _cmd_health(args: argparse.Namespace) -> None:
     """Evaluate the SLO health rules; exit 0 ok / 1 warn / 2 crit.
 
@@ -751,6 +777,7 @@ def _cmd_health(args: argparse.Namespace) -> None:
         raise SystemExit(report.exit_code)
 
 
+@_reader
 def _cmd_trace(args: argparse.Namespace) -> None:
     """Export a span tree as Chrome trace-event / Perfetto JSON.
 
@@ -795,6 +822,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         )
 
 
+@_reader
 def _cmd_top(args: argparse.Namespace) -> None:
     """Live terminal dashboard over service stats snapshots.
 
@@ -817,13 +845,7 @@ def _cmd_top(args: argparse.Namespace) -> None:
             once=args.once,
         )
     except BrokenPipeError:
-        # stdout's reader has gone (``repro top --once | head -1``), which
-        # is no read error: end quietly, with /dev/null under stdout so
-        # that the interpreter's exit-time flush has nowhere to fail
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        raise SystemExit(1)
+        raise  # stdout's reader has gone: no read error (see _reader)
     except OSError as exc:
         raise SystemExit(
             f"error: cannot read {args.stats_file}: {exc.strerror}"

@@ -24,7 +24,8 @@ from ..core.result import MISResult
 from ..graphs.graph import StaticGraph
 from ..algorithms.fair_bipart import check_block_params, default_block_gamma
 from ..obs.profile import current_profiler
-from .engine import UnionSweep, neighbor_any, neighbor_count
+from ..runtime.rng import Draws, TrialDraws, as_draws
+from .engine import UnionSweep, copies_with, neighbor_any, neighbor_count
 from .luby import luby_sweep
 
 __all__ = [
@@ -39,21 +40,22 @@ __all__ = [
 
 
 def draw_radii(
-    rng: np.random.Generator, n: int, gamma: int, p: float = 0.5
+    draws: Draws | np.random.Generator, n: int, gamma: int, p: float = 0.5
 ) -> np.ndarray:
     """Vectorized sampling from the truncated geometric ``π``.
 
     ``Pr[r >= k] = p^k`` for ``k <= γ``, so ``r = min(γ, floor(log_p U))``.
     """
     check_block_params(gamma, p)
-    u = np.maximum(rng.random(n), 1e-300)  # guard log(0)
+    draws = as_draws(draws)
+    u = np.maximum(draws.random(n), 1e-300)  # guard log(0)
     raw = np.floor(np.log(u) / np.log(p))
     return np.minimum(raw.astype(np.int64), gamma)
 
 
 def construct_block_fast(
     graph: StaticGraph,
-    rng: np.random.Generator,
+    draws: Draws | np.random.Generator,
     gamma: int,
     values: np.ndarray,
     mode: str,
@@ -84,7 +86,7 @@ def construct_block_fast(
         raise ValueError(f"values must lie in [0, {value_base})")
     n = graph.n
     es, ed = graph.edge_src, graph.edge_dst
-    radii = draw_radii(rng, n, gamma, p)
+    radii = draw_radii(draws, n, gamma, p)
     top = int(radii.max()) if n else 0
 
     # table[j, v] = largest key id·base + value v holds with j range left;
@@ -116,7 +118,7 @@ def construct_block_fast(
 
 def _finalize_fast(
     graph: StaticGraph,
-    rng: np.random.Generator,
+    draws: Draws,
     candidate: np.ndarray,
 ) -> tuple[np.ndarray, dict[str, Any]]:
     """Shared tail: drop violations, cover, Luby the remainder."""
@@ -128,14 +130,14 @@ def _finalize_fast(
     member = fixed
     luby_nodes = int((~covered).sum())
     if luby_nodes:
-        extra, _ = luby_sweep(graph, rng, active=~covered)
+        extra, _ = luby_sweep(graph, draws, active=~covered)
         member = fixed | extra
     return member, {"luby_nodes": luby_nodes}
 
 
 def fair_bipart_run(
     graph: StaticGraph,
-    rng: np.random.Generator,
+    draws: Draws | np.random.Generator,
     gamma: int,
     p: float = 0.5,
 ) -> tuple[np.ndarray, dict[str, Any]]:
@@ -146,12 +148,13 @@ def fair_bipart_run(
     from the *base* graph so every disjoint-union copy behaves like a lone
     trial.
     """
-    bits = rng.integers(0, 2, size=graph.n, dtype=np.int64)
+    draws = as_draws(draws)
+    bits = draws.integers(0, 2, size=graph.n, dtype=np.int64)
     in_block, _, leader_val = construct_block_fast(
-        graph, rng, gamma, bits, mode="bit", value_base=2, p=p
+        graph, draws, gamma, bits, mode="bit", value_base=2, p=p
     )
     candidate = in_block & (leader_val == 1)
-    member, tail_info = _finalize_fast(graph, rng, candidate)
+    member, tail_info = _finalize_fast(graph, draws, candidate)
     info = {
         "engine": "fast",
         "gamma": gamma,
@@ -191,14 +194,16 @@ class FastFairBipart:
         )
 
     def union_sweep(self, graph: StaticGraph) -> UnionSweep:
-        """``sweep(union, rng) -> membership`` for unions of copies of
-        *graph*, with γ pinned to *graph*."""
+        """``sweep(union, draws) -> (membership, None)`` for unions of
+        copies of *graph*, with γ pinned to *graph*."""
         gamma = self.resolved_gamma(graph)
-        return lambda union, rng: fair_bipart_run(union, rng, gamma, p=self.p)[0]
+        return lambda union, draws: (
+            fair_bipart_run(union, draws, gamma, p=self.p)[0], None
+        )
 
     def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
         member, info = fair_bipart_run(
-            graph, rng, self.resolved_gamma(graph), p=self.p
+            graph, TrialDraws([rng]), self.resolved_gamma(graph), p=self.p
         )
         result = MISResult(membership=member, info=info)
         if self.validate:
@@ -208,19 +213,23 @@ class FastFairBipart:
 
 def greedy_coloring_fast(
     graph: StaticGraph,
-    rng: np.random.Generator,
+    draws: Draws | np.random.Generator,
     iterations: int,
 ) -> np.ndarray:
-    """Vectorized random-trial ``(deg+1)``-list coloring; -1 = uncolored."""
+    """Vectorized random-trial ``(deg+1)``-list coloring; -1 = uncolored.
+
+    Only copies with an uncolored vertex propose."""
+    draws = as_draws(draws)
     n = graph.n
     es, ed = graph.edge_src, graph.edge_dst
     deg = graph.degrees
     colors = np.full(n, -1, dtype=np.int64)
     for _ in range(iterations):
         todo = colors < 0
-        if not todo.any():
+        who = copies_with(todo, draws.copies)
+        if not who.any():
             break
-        prop = rng.integers(0, deg + 1, size=n)
+        prop = draws.integers(0, deg + 1, size=n, who=who)
         prop = np.where(todo, prop, colors)
         if es.size:
             # reject: proposal equals a neighbor's color or proposal
@@ -235,7 +244,7 @@ def greedy_coloring_fast(
 
 def arboricity_coloring_fast(
     graph: StaticGraph,
-    rng: np.random.Generator,
+    draws: Draws | np.random.Generator,
     cap: int,
     iterations: int,
 ) -> np.ndarray:
@@ -244,8 +253,10 @@ def arboricity_coloring_fast(
     Peels vertices of active degree <= ``cap`` into classes, then colors
     classes in reverse peel order with palette ``{0..cap}`` by random
     trials — the fast-layer counterpart of
-    :class:`repro.algorithms.coloring.HPartitionColoringEngine`.
+    :class:`repro.algorithms.coloring.HPartitionColoringEngine`.  Only
+    copies with an uncolored vertex in the class propose.
     """
+    draws = as_draws(draws)
     n = graph.n
     es, ed = graph.edge_src, graph.edge_dst
     h_class = np.full(n, -1, dtype=np.int64)
@@ -265,9 +276,10 @@ def arboricity_coloring_fast(
         in_class = h_class == c
         for _ in range(iterations):
             todo = in_class & (colors < 0)
-            if not todo.any():
+            who = copies_with(todo, draws.copies)
+            if not who.any():
                 break
-            prop = rng.integers(0, cap + 1, size=n)
+            prop = draws.integers(0, cap + 1, size=n, who=who)
             prop = np.where(todo, prop, colors)
             clash = np.zeros(n, dtype=bool)
             if es.size:
@@ -285,7 +297,7 @@ def color_mis_iterations(n: int) -> int:
 
 def color_mis_run(
     graph: StaticGraph,
-    rng: np.random.Generator,
+    draws: Draws | np.random.Generator,
     gamma: int,
     k: int,
     iterations: int,
@@ -301,22 +313,23 @@ def color_mis_run(
     :meth:`FastColorMIS.resolved_params`) so disjoint-union copies run
     with identical parameters to lone trials.
     """
+    draws = as_draws(draws)
     n = graph.n
     if coloring == "greedy":
-        colors = greedy_coloring_fast(graph, rng, iterations)
+        colors = greedy_coloring_fast(graph, draws, iterations)
     elif coloring == "arboricity":
         if cap is None:
             raise ValueError("arboricity coloring requires an explicit cap")
-        colors = arboricity_coloring_fast(graph, rng, cap, iterations)
+        colors = arboricity_coloring_fast(graph, draws, cap, iterations)
     else:
         raise ValueError(f"unknown coloring kind {coloring!r}")
     k = max(1, k)
-    chosen = rng.integers(0, k, size=n, dtype=np.int64)
+    chosen = draws.integers(0, k, size=n, dtype=np.int64)
     in_block, _, leader_val = construct_block_fast(
-        graph, rng, gamma, chosen, mode="color", value_base=k, p=p
+        graph, draws, gamma, chosen, mode="color", value_base=k, p=p
     )
     candidate = in_block & (colors >= 0) & (leader_val == colors)
-    member, tail_info = _finalize_fast(graph, rng, candidate)
+    member, tail_info = _finalize_fast(graph, draws, candidate)
     info = {
         "engine": "fast",
         "gamma": gamma,
@@ -390,17 +403,21 @@ class FastColorMIS:
         return {"gamma": gamma, "k": max(1, k), "iterations": iterations, "cap": cap}
 
     def union_sweep(self, graph: StaticGraph) -> UnionSweep:
-        """``sweep(union, rng) -> membership`` for unions of copies of
-        *graph*, with :meth:`resolved_params` taken from *graph*."""
+        """``sweep(union, draws) -> (membership, None)`` for unions of
+        copies of *graph*, with :meth:`resolved_params` taken from
+        *graph*."""
         params = self.resolved_params(graph)
-        return lambda union, rng: color_mis_run(
-            union, rng, coloring=self.coloring, p=self.p, **params
-        )[0]
+        return lambda union, draws: (
+            color_mis_run(
+                union, draws, coloring=self.coloring, p=self.p, **params
+            )[0],
+            None,
+        )
 
     def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
         member, info = color_mis_run(
             graph,
-            rng,
+            TrialDraws([rng]),
             coloring=self.coloring,
             p=self.p,
             **self.resolved_params(graph),

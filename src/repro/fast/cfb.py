@@ -33,7 +33,10 @@ and a node's level parity is its depth parity against the leader's.
 The flood would settle within ``D̂`` rounds iff every leader's
 eccentricity is at most ``D̂``, which holds when ``dist(leader, top) +
 height ≤ D̂``; a call that cannot show this, or whose edge mask differs
-between an edge's two directions, runs the flood.
+between an edge's two directions, runs the flood.  On a union of copies
+(:func:`tile_forest`) the check spans every copy, so one copy that
+cannot show it floods the whole union: the flood settles for the others
+and gives them the same outcome.
 """
 
 from __future__ import annotations
@@ -42,13 +45,32 @@ import numpy as np
 
 from ..graphs.graph import ForestLayout, StaticGraph
 from ..obs.profile import current_profiler, phase
+from ..runtime.rng import Draws, as_draws
 
-__all__ = ["cfb_fast"]
+__all__ = ["cfb_fast", "tile_forest"]
+
+
+def tile_forest(forest: ForestLayout | None, copies: int) -> ForestLayout | None:
+    """*forest* laid out for the disjoint union of ``copies`` copies of its
+    graph (:func:`~repro.fast.batched.disjoint_power`'s layout: copy ``c``
+    holds vertices ``[c·n, (c+1)·n)`` and forward edges ``[c·m, (c+1)·m)``).
+    """
+    if forest is None or copies == 1:
+        return forest
+    n = forest.parent.size
+    m = n - forest.roots.size  # a forest has one edge per non-root
+    copy = np.arange(copies, dtype=np.int64)[:, None]
+    return ForestLayout(
+        parent=np.where(forest.parent >= 0, forest.parent + copy * n, -1).reshape(-1),
+        depth=np.tile(forest.depth, copies),
+        link=(forest.link + copy * m).reshape(-1),
+        roots=(forest.roots + copy * n).reshape(-1),
+    )
 
 
 def cfb_fast(
     graph: StaticGraph,
-    rng: np.random.Generator,
+    draws: Draws | np.random.Generator,
     d_hat: int,
     active: np.ndarray,
     edge_mask: np.ndarray | None = None,
@@ -66,12 +88,13 @@ def cfb_fast(
         Usable edges (aligned with ``graph.edge_src``); automatically
         intersected with "both endpoints active".
     forest:
-        *graph*'s :attr:`~repro.graphs.graph.StaticGraph.forest_layout`;
-        lets the call skip the flood when the rooting proves its
-        outcome.
+        *graph*'s :attr:`~repro.graphs.graph.StaticGraph.forest_layout`
+        (tiled, on a union); lets the call skip the flood when the
+        rooting proves its outcome.
     """
+    draws = as_draws(draws)
     if forest is not None:
-        joined = _forest_call(graph, forest, rng, d_hat, active, edge_mask)
+        joined = _forest_call(graph, forest, draws, d_hat, active, edge_mask)
         if joined is not None:
             return joined
     n = graph.n
@@ -107,7 +130,7 @@ def cfb_fast(
             prof.count("cfb.bfs_fallback")
 
     # -- every node draws a bit; only self-elected leaders' bits are used --- #
-    bits = rng.integers(0, 2, size=n, dtype=np.int64)
+    bits = draws.integers(0, 2, size=n, dtype=np.int64)
 
     # -- parity BFS from leaders, origin-checked ----------------------------- #
     with phase("cfb.bfs"):
@@ -137,7 +160,7 @@ def cfb_fast(
 def _forest_call(
     graph: StaticGraph,
     forest: ForestLayout,
-    rng: np.random.Generator,
+    draws: Draws,
     d_hat: int,
     active: np.ndarray,
     edge_mask: np.ndarray | None,
@@ -169,18 +192,22 @@ def _forest_call(
                 top[pending] = nxt
                 pending = pending[up[nxt]]
             tk = top[kids]
-            lead = np.arange(n)  # a component's largest ID, at its top
+            lead = top  # reused: a component's largest ID, at its top
+            lead[:] = np.arange(n)
             np.maximum.at(lead, tk, kids)
             lt = lead[tk]
+            del top, lead, pending
             dt = depth[tk]
+            dl = depth[lt]
+            dk = depth[kids]
             # ecc(leader) <= dist(leader, top) + height(top)
-            if int((depth[lt] + depth[kids] - 2 * dt).max()) > d_hat:
+            if int((dl + dk - 2 * dt).max()) > d_hat:
                 return None
-        bits = rng.integers(0, 2, size=n, dtype=np.int64)
+        bits = draws.integers(0, 2, size=n, dtype=np.int64)
         if kids.size:
             # dist(v, leader) is depth(v) + depth(leader) mod 2 in a tree
-            key = depth[lt] ^ bits[lt]
-            joined[kids] = ((depth[kids] ^ key) & 1) == 0
+            key = dl ^ bits[lt]
+            joined[kids] = ((dk ^ key) & 1) == 0
             joined[tk] = ((dt ^ key) & 1) == 0
     prof = current_profiler()
     if prof is not None:

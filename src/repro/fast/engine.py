@@ -19,12 +19,14 @@ import numpy as np
 
 from ..graphs.graph import StaticGraph
 from ..obs.profile import current_profiler
+from ..runtime.rng import Draws, as_draws
 
 __all__ = [
     "neighbor_any",
     "neighbor_max",
     "neighbor_count",
     "edge_both",
+    "copies_with",
     "priority_keys",
     "MAX_VERTICES",
     "UnionSweep",
@@ -102,27 +104,45 @@ def edge_both(
     return mask[es] & mask[ed]
 
 
+def copies_with(mask: np.ndarray, copies: int) -> np.ndarray:
+    """Which of a union's ``copies`` equal-sized copies hold a ``mask``
+    vertex: the copies that still have work, and so still draw."""
+    return mask.reshape(copies, mask.size // copies).any(axis=1)
+
+
 #: Bits reserved for the random part of a tie-broken priority key.
 PRIORITY_BITS = 38
 
 #: Largest vertex count whose IDs fit beside the random part of a key.
 MAX_VERTICES = 1 << 24
 
-#: ``sweep(union, rng) -> membership`` over a disjoint union of copies of
-#: one base graph, as a batchable engine's ``union_sweep(graph)`` returns
-#: it (see :func:`repro.fast.batched.batched_trials`).
-UnionSweep = Callable[[StaticGraph, np.random.Generator], np.ndarray]
+#: ``sweep(union, draws) -> (membership, rounds)`` over a disjoint union
+#: of copies of one base graph, as a batchable engine's
+#: ``union_sweep(graph)`` returns it (see :mod:`repro.fast.batched`).
+#: ``rounds`` holds each copy's iteration count, or is ``None`` for an
+#: engine that reports none.
+UnionSweep = Callable[
+    [StaticGraph, Draws], tuple[np.ndarray, "np.ndarray | None"]
+]
 
 
-def priority_keys(rng: np.random.Generator, n: int) -> np.ndarray:
+def priority_keys(
+    draws: Draws | np.random.Generator,
+    n: int,
+    who: np.ndarray | None = None,
+) -> np.ndarray:
     """Random priorities with ID tie-break packed into one int64 key.
 
     ``key = (random << ceil(log2 n)) | id`` reproduces the faithful
     engine's lexicographic ``(priority, id)`` comparison in a single
     vectorized ``>``; supports ``n`` up to :data:`MAX_VERTICES` (``2^24``).
+    On a union the IDs are union-wide, which keeps every copy's order.
     """
     if n > MAX_VERTICES:
         raise ValueError("fast engine supports n <= 2^24")
+    draws = as_draws(draws)
     id_bits = max(1, int(n - 1).bit_length())
-    rand = rng.integers(0, 1 << PRIORITY_BITS, size=n, dtype=np.int64)
-    return (rand << id_bits) | np.arange(n, dtype=np.int64)
+    keys = draws.integers(0, 1 << PRIORITY_BITS, size=n, dtype=np.int64, who=who)
+    keys <<= id_bits
+    keys |= np.arange(n, dtype=np.int64)
+    return keys

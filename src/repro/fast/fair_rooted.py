@@ -16,6 +16,7 @@ from ..core.registry import register
 from ..core.result import MISResult
 from ..graphs.graph import GraphValidationError, RootedTree, StaticGraph
 from ..algorithms.cole_vishkin import cv_reduction_iterations
+from ..runtime.rng import Draws, TrialDraws, as_draws
 from .engine import UnionSweep, edge_both, neighbor_any
 
 __all__ = [
@@ -84,7 +85,7 @@ def cole_vishkin_colors(
 def fair_rooted_run(
     graph: StaticGraph,
     parent: np.ndarray,
-    rng: np.random.Generator,
+    draws: Draws | np.random.Generator,
     base_n: int | None = None,
 ) -> tuple[np.ndarray, dict[str, Any]]:
     """One FAIRROOTED execution; returns ``(membership, info)``.
@@ -94,6 +95,7 @@ def fair_rooted_run(
     graph is a disjoint union of copies — each copy then runs stage 2
     exactly as an isolated trial on the base graph would.
     """
+    draws = as_draws(draws)
     n = graph.n
     es, ed = graph.edge_src, graph.edge_dst
     cv_init: np.ndarray | None = None
@@ -107,8 +109,8 @@ def fair_rooted_run(
         cv_iters = cv_reduction_iterations(max(base_n - 1, 1))
 
     # -- Stage 1: random tags ------------------------------------------------ #
-    tags = rng.integers(0, 2, size=n, dtype=np.int64)
-    virtual = rng.integers(0, 2, size=n, dtype=np.int64)  # roots' sentinels
+    tags = draws.integers(0, 2, size=n, dtype=np.int64)
+    virtual = draws.integers(0, 2, size=n, dtype=np.int64)  # roots' sentinels
     parent_tag = np.where(parent >= 0, tags[np.where(parent >= 0, parent, 0)], virtual)
     i1 = (tags == 0) & (parent_tag == 1)
     covered = i1 | neighbor_any(i1, es, ed, n)
@@ -186,25 +188,28 @@ class FastFairRooted:
         return "fair_rooted_fast"
 
     def union_sweep(self, graph: StaticGraph) -> UnionSweep:
-        """``sweep(union, rng) -> membership`` for unions of copies of
-        *graph*: each copy gets *graph*'s rooting shifted by its offset,
-        and Cole–Vishkin is pinned to *graph*'s size (``base_n``)."""
+        """``sweep(union, draws) -> (membership, None)`` for unions of
+        copies of *graph*: each copy gets *graph*'s rooting shifted by its
+        offset, and Cole–Vishkin is pinned to *graph*'s size
+        (``base_n``)."""
         n = graph.n
         parent = np.asarray(tree_parents(graph, self.tree), dtype=np.int64)
 
-        def sweep(union: StaticGraph, rng: np.random.Generator) -> np.ndarray:
+        def sweep(union: StaticGraph, draws: Draws) -> tuple[np.ndarray, None]:
             copies = union.n // max(n, 1)
             offsets = (np.arange(copies, dtype=np.int64) * n)[:, None]
             tiled = np.broadcast_to(parent, (copies, n))
             union_parent = np.where(
                 tiled >= 0, tiled + offsets, np.int64(-1)
             ).reshape(-1)
-            return fair_rooted_run(union, union_parent, rng, base_n=n)[0]
+            return fair_rooted_run(union, union_parent, draws, base_n=n)[0], None
 
         return sweep
 
     def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
-        member, info = fair_rooted_run(graph, tree_parents(graph, self.tree), rng)
+        member, info = fair_rooted_run(
+            graph, tree_parents(graph, self.tree), TrialDraws([rng])
+        )
         result = MISResult(membership=member, info=info)
         if self.validate:
             result.validate(graph)

@@ -10,10 +10,12 @@ calls and ``O(m)`` scatters:
 * Stage 4 — drop independence violations, vectorized Luby on any
   remaining uncovered nodes (the ε ≤ 1/n fallback path).
 
-Per-trial runs (:class:`FastFairTree`) hand the CFB calls the graph's
-cached :attr:`~repro.graphs.graph.StaticGraph.forest_layout`, so on a
-forest they read each call's outcome off the rooting instead of
-flooding; batched unions keep flooding.
+Exact runs (:meth:`FastFairTree.run` and unions drawing from per-trial
+generators) hand the CFB calls the graph's cached
+:attr:`~repro.graphs.graph.StaticGraph.forest_layout`, tiled per copy,
+so on a forest they read each call's outcome off the rooting instead of
+flooding.  Vectorized unions keep flooding: rooting a graph imports
+scipy, which a process serving only vectorized requests never needs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from ..core.result import MISResult
 from ..graphs.graph import ForestLayout, StaticGraph
 from ..algorithms.fair_tree import default_gamma
 from ..obs.profile import phase
-from .cfb import cfb_fast
+from ..runtime.rng import Draws, TrialDraws, as_draws
+from .cfb import cfb_fast, tile_forest
 from .engine import UnionSweep, neighbor_any
 from .luby import luby_sweep
 
@@ -36,7 +39,7 @@ __all__ = ["FastFairTree", "fair_tree_run"]
 
 def fair_tree_run(
     graph: StaticGraph,
-    rng: np.random.Generator,
+    draws: Draws | np.random.Generator,
     gamma: int,
     forest: ForestLayout | None = None,
 ) -> tuple[np.ndarray, dict[str, Any]]:
@@ -45,6 +48,7 @@ def fair_tree_run(
     *forest* is *graph*'s :attr:`~StaticGraph.forest_layout`, passed on
     to every CFB call (see :func:`~repro.fast.cfb.cfb_fast`).
     """
+    draws = as_draws(draws)
     n = graph.n
     es, ed = graph.edge_src, graph.edge_dst
     m = graph.m
@@ -52,22 +56,22 @@ def fair_tree_run(
 
     # -- Stage 1: cut + CFB on uncut edges ---------------------------------- #
     with phase("fair_tree.stage1_cut"):
-        cut_undirected = rng.integers(0, 2, size=m, dtype=np.int64)
-        cut = np.concatenate([cut_undirected, cut_undirected])  # symmetric order
+        uncut = draws.integers(0, 2, size=m, dtype=np.int64) == 0
+        uncut = np.concatenate([uncut, uncut])  # symmetric order
         i1 = cfb_fast(
-            graph, rng, gamma, active=all_nodes, edge_mask=cut == 0, forest=forest
+            graph, draws, gamma, active=all_nodes, edge_mask=uncut, forest=forest
         )
 
     # -- Stage 2: resolve conflicts among I₁ -------------------------------- #
     with phase("fair_tree.stage2_resolve"):
-        joined2 = cfb_fast(graph, rng, gamma, active=i1, forest=forest)
+        joined2 = cfb_fast(graph, draws, gamma, active=i1, forest=forest)
         i2 = i1 & joined2
 
     # -- Stage 3: maximalize over uncovered nodes ---------------------------- #
     with phase("fair_tree.stage3_maximalize"):
         covered2 = i2 | neighbor_any(i2, es, ed, n)
         uncovered = ~covered2
-        joined3 = cfb_fast(graph, rng, gamma, active=uncovered, forest=forest)
+        joined3 = cfb_fast(graph, draws, gamma, active=uncovered, forest=forest)
         i3 = i2 | (uncovered & joined3)
 
     # -- Stage 4: fix + fallback --------------------------------------------- #
@@ -78,7 +82,7 @@ def fair_tree_run(
         fallback_nodes = int((~covered).sum())
         member = fixed
         if fallback_nodes:
-            extra, _ = luby_sweep(graph, rng, active=~covered)
+            extra, _ = luby_sweep(graph, draws, active=~covered)
             member = fixed | extra
     info = {
         "engine": "fast",
@@ -119,15 +123,27 @@ class FastFairTree:
         )
 
     def union_sweep(self, graph: StaticGraph) -> UnionSweep:
-        """``sweep(union, rng) -> membership`` for unions of copies of
-        *graph*, with γ pinned to *graph*.  Unions pass no forest layout,
-        so their CFB calls flood."""
+        """``sweep(union, draws) -> (membership, None)`` for unions of
+        copies of *graph*, with γ pinned to *graph*.  A union drawing from
+        per-trial generators tiles *graph*'s forest layout for its CFB
+        calls; one drawing from one generator passes none, so they flood.
+        """
         gamma = self.resolved_gamma(graph)
-        return lambda union, rng: fair_tree_run(union, rng, gamma)[0]
+
+        def sweep(union: StaticGraph, draws: Draws) -> tuple[np.ndarray, None]:
+            forest = None
+            if draws.per_trial:
+                forest = tile_forest(graph.forest_layout, draws.copies)
+            return fair_tree_run(union, draws, gamma, forest)[0], None
+
+        return sweep
 
     def run(self, graph: StaticGraph, rng: np.random.Generator) -> MISResult:
         member, info = fair_tree_run(
-            graph, rng, self.resolved_gamma(graph), graph.forest_layout
+            graph,
+            TrialDraws([rng]),
+            self.resolved_gamma(graph),
+            graph.forest_layout,
         )
         result = MISResult(membership=member, info=info)
         if self.validate:

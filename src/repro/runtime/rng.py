@@ -10,11 +10,22 @@ the evaluation harness relies on:
 * **Parallel safety** — trial seeds spawned with :func:`spawn_trial_seeds`
   can be handed to worker processes without stream collisions, the standard
   ``SeedSequence.spawn`` idiom for process pools.
+
+The fast engines draw through a :class:`Draws` source instead of a bare
+generator, so one kernel serves a lone trial and a disjoint union of
+``copies`` equal-sized trials alike.  A source takes the calls a
+``numpy`` generator takes, sized for the whole union, plus ``who``: a
+loop whose length depends on the data names the copies that still have
+work.  :class:`UnionDraws` is one generator for the whole union (the
+vectorized stream: it ignores ``who`` and draws for every copy);
+:class:`TrialDraws` is one generator per copy, so copy ``c`` draws exactly
+what its lone trial would draw, in the same order, and nothing after that
+trial would have stopped.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -23,9 +34,104 @@ __all__ = [
     "spawn_node_rngs",
     "spawn_trial_seeds",
     "generator_from",
+    "Draws",
+    "UnionDraws",
+    "TrialDraws",
+    "as_draws",
 ]
 
 SeedLike = int | np.random.SeedSequence | np.random.Generator | None
+
+
+class Draws(Protocol):
+    """Random values for a union of ``copies`` equal-sized copies.
+
+    ``size`` counts the whole union's values; copy ``c`` owns the
+    ``size // copies`` of them at ``[c*k, (c+1)*k)``.  ``who`` is a
+    boolean mask over the copies that draw; a source that honours it
+    leaves the other copies' values at 0.
+    """
+
+    #: Copies in the union.
+    copies: int
+    #: True when every copy draws from its own trial's generator.
+    per_trial: bool
+
+    def integers(
+        self,
+        low: int,
+        high: int | np.ndarray,
+        size: int,
+        dtype: type = np.int64,
+        who: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Values in ``[low, high)``; *high* is a scalar or one bound per
+        value."""
+        ...
+
+    def random(self, size: int, who: np.ndarray | None = None) -> np.ndarray:
+        """float64 uniforms in ``[0, 1)``."""
+        ...
+
+
+class UnionDraws:
+    """One generator for a whole union: every call forwards to it, for
+    every copy, whatever ``who`` says."""
+
+    per_trial = False
+
+    def __init__(self, rng: np.random.Generator, copies: int = 1) -> None:
+        self.rng = rng
+        self.copies = copies
+
+    def integers(self, low, high, size, dtype=np.int64, who=None) -> np.ndarray:
+        return self.rng.integers(low, high, size=size, dtype=dtype)
+
+    def random(self, size: int, who: np.ndarray | None = None) -> np.ndarray:
+        return self.rng.random(size)
+
+
+class TrialDraws:
+    """One generator per copy: copy ``c`` draws from ``rngs[c]`` only,
+    and only while ``who`` names it."""
+
+    per_trial = True
+
+    def __init__(self, rngs: Sequence[np.random.Generator]) -> None:
+        self.rngs = list(rngs)
+        self.copies = len(self.rngs)
+
+    def _each(self, draw, size: int, who: np.ndarray | None, dtype) -> np.ndarray:
+        k = size // self.copies
+        if self.copies == 1 and (who is None or who[0]):
+            return draw(self.rngs[0], slice(0, k), k)
+        out = np.zeros(size, dtype=dtype)
+        for c in range(self.copies) if who is None else np.flatnonzero(who):
+            part = slice(c * k, (c + 1) * k)
+            out[part] = draw(self.rngs[c], part, k)
+        return out
+
+    def integers(self, low, high, size, dtype=np.int64, who=None) -> np.ndarray:
+        if np.ndim(high):
+            return self._each(
+                lambda rng, part, k: rng.integers(low, high[part], size=k, dtype=dtype),
+                size, who, dtype,
+            )
+        return self._each(
+            lambda rng, part, k: rng.integers(low, high, size=k, dtype=dtype),
+            size, who, dtype,
+        )
+
+    def random(self, size: int, who: np.ndarray | None = None) -> np.ndarray:
+        return self._each(lambda rng, part, k: rng.random(k), size, who, np.float64)
+
+
+def as_draws(source: "Draws | np.random.Generator") -> Draws:
+    """*source* as a :class:`Draws`; a bare generator draws for its whole
+    graph as one copy."""
+    if isinstance(source, np.random.Generator):
+        return UnionDraws(source)
+    return source
 
 
 def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:

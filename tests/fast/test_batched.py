@@ -428,12 +428,15 @@ class TestVectorRunnerRegistry:
             FastFairBipart(),
             FastColorMIS(),
             FastColorMIS(coloring="arboricity"),
+            FastLuby(variant="degree"),
         ]
         for algorithm in algorithms:
             assert algorithm.union_sweep is not None, algorithm.name
 
     def test_unbatchable_variant_returns_none(self):
-        assert FastLuby(variant="degree").union_sweep is None
+        from repro.core.registry import make
+
+        assert getattr(make("luby"), "union_sweep", None) is None
 
     def test_runner_output_matches_direct_batched_call(self):
         g = random_tree(20, seed=7).graph

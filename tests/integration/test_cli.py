@@ -489,15 +489,24 @@ class TestOperatorReaderErrors:
 
 
 class TestClosedStdout:
-    """``top`` writing into a pipe whose reader has gone ends quietly; a
-    stats file it cannot read still answers ``cannot read``."""
+    """Every reader writing into a pipe whose reader has gone ends
+    quietly, exit 1; a stats file ``top`` cannot read still answers
+    ``cannot read``."""
 
-    @pytest.mark.parametrize("case", ["closed-stdout", "unreadable-stats"])
-    def test_top(self, case, probe_files, tmp_path):
+    CLOSED = {
+        "top": lambda f: ["top", "--stats-file", f["stats"], "--once"],
+        "health": lambda f: ["health", "--stats-file", f["stats"], "--slo-ms", "2000"],
+        "explain": lambda f: ["explain", "--input", f["results"]],
+        "trace": lambda f: ["trace", "--input", f["spans"], "--out", "-"],
+        "evidence": lambda f: ["evidence", "ls", "--stats-file", f["stats"]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CLOSED) + ["unreadable-stats"])
+    def test_reader(self, case, probe_files, tmp_path):
         read_end, write_end = os.pipe()
         os.close(read_end)
-        if case == "closed-stdout":
-            argv = ["top", "--stats-file", probe_files["stats"], "--once"]
+        if case in self.CLOSED:
+            argv = self.CLOSED[case](probe_files)
         else:
             argv = ["top", "--stats-file", str(tmp_path)]
         try:
@@ -506,7 +515,7 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        if case == "closed-stdout":
+        if case in self.CLOSED:
             assert proc.stderr == ""
         else:
             assert proc.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
