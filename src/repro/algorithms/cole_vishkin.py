@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from ..core.registry import register
-from ..graphs.graph import RootedTree, StaticGraph
+from ..graphs.graph import RootedTree, StaticGraph, tree_parents
 from ..runtime.message import Message
 from ..runtime.node import NodeContext, NodeProcess
 from .base import ProtocolAlgorithm
@@ -175,8 +175,9 @@ class _CVProcess(NodeProcess):
 class ColeVishkinMIS(ProtocolAlgorithm):
     """Deterministic ``O(log* n)`` MIS for rooted trees/forests.
 
-    Accepts either a :class:`RootedTree` at construction or roots the input
-    tree deterministically (BFS from vertex 0) in :meth:`prepare` — the
+    Accepts either a :class:`RootedTree` of the input graph at
+    construction or reads the graph's cached rooting from vertex 0
+    (:func:`~repro.graphs.graph.tree_parents`) in :meth:`prepare` — the
     model of Section IV provides parent pointers as input, so this rooting
     stands in for that input.
 
@@ -194,11 +195,7 @@ class ColeVishkinMIS(ProtocolAlgorithm):
         return "cole_vishkin"
 
     def prepare(self, graph: StaticGraph, rng: np.random.Generator) -> np.ndarray:
-        if self.tree is not None:
-            if self.tree.graph is not graph and self.tree.graph != graph:
-                raise ValueError("provided rooting does not match the input graph")
-            return self.tree.parent
-        return RootedTree.from_graph(graph).parent
+        return tree_parents(graph, self.tree)
 
     def build_process(
         self, v: int, graph: StaticGraph, shared: np.ndarray

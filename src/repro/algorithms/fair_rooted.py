@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from ..core.registry import register
-from ..graphs.graph import RootedTree, StaticGraph
+from ..graphs.graph import RootedTree, StaticGraph, tree_parents
 from ..runtime.message import Message
 from ..runtime.node import NodeContext, NodeProcess
 from ..runtime.staged import StagedProcess
@@ -124,8 +124,9 @@ class FairRootedProcess(StagedProcess):
 class FairRooted(ProtocolAlgorithm):
     """FAIRROOTED as a :class:`~repro.core.result.MISAlgorithm`.
 
-    Accepts an explicit :class:`RootedTree` (the model's parent-pointer
-    input) or roots the tree deterministically from vertex 0.
+    Accepts an explicit :class:`RootedTree` of the input graph (the
+    model's parent-pointer input) or reads the graph's cached rooting
+    from vertex 0 (:func:`~repro.graphs.graph.tree_parents`).
     """
 
     def __init__(self, tree: RootedTree | None = None, **kwargs: Any) -> None:
@@ -137,11 +138,7 @@ class FairRooted(ProtocolAlgorithm):
         return "fair_rooted"
 
     def prepare(self, graph: StaticGraph, rng: np.random.Generator) -> np.ndarray:
-        if self.tree is not None:
-            if self.tree.graph is not graph and self.tree.graph != graph:
-                raise ValueError("provided rooting does not match the input graph")
-            return self.tree.parent
-        return RootedTree.from_graph(graph).parent
+        return tree_parents(graph, self.tree)
 
     def build_process(
         self, v: int, graph: StaticGraph, shared: np.ndarray

@@ -25,11 +25,12 @@ Membership and the random numbers drawn are those of the full
 ``2·D̂``-round schedule.
 
 On a forest the settled flood's outcome can be read off a rooting
-instead (exact FAIRTREE passes :attr:`StaticGraph.forest_layout`).  A
-component of the call's usable edges is a subtree with one topmost
-node; pointer jumping along usable parent links finds it for every node
-in ``O(log depth)`` passes, the component's largest ID is its leader,
-and a node's level parity is its depth parity against the leader's.
+instead: every FAIRTREE call, lone or on a union in either mode, passes
+:attr:`StaticGraph.forest_layout`, tiled per copy.  A component of the
+call's usable edges is a subtree with one topmost node; pointer jumping
+along usable parent links finds it for every node in ``O(log depth)``
+passes, the component's largest ID is its leader, and a node's level
+parity is its depth parity against the leader's.
 The flood would settle within ``D̂`` rounds iff every leader's
 eccentricity is at most ``D̂``, which holds when ``dist(leader, top) +
 height ≤ D̂``; a call that cannot show this, or whose edge mask differs
@@ -47,13 +48,21 @@ from ..graphs.graph import ForestLayout, StaticGraph
 from ..obs.profile import current_profiler, phase
 from ..runtime.rng import Draws, as_draws
 
-__all__ = ["cfb_fast", "tile_forest"]
+__all__ = ["cfb_fast", "tile_forest", "tile_parents"]
+
+
+def tile_parents(parent: np.ndarray, copies: int) -> np.ndarray:
+    """*parent* (``-1`` at roots) for the disjoint union of ``copies``
+    copies of its graph (:func:`~repro.fast.batched.disjoint_power`'s
+    layout: copy ``c`` holds vertices ``[c·n, (c+1)·n)``)."""
+    shift = np.arange(copies, dtype=np.int64)[:, None] * parent.size
+    return np.where(parent >= 0, parent + shift, -1).reshape(-1)
 
 
 def tile_forest(forest: ForestLayout | None, copies: int) -> ForestLayout | None:
     """*forest* laid out for the disjoint union of ``copies`` copies of its
-    graph (:func:`~repro.fast.batched.disjoint_power`'s layout: copy ``c``
-    holds vertices ``[c·n, (c+1)·n)`` and forward edges ``[c·m, (c+1)·m)``).
+    graph (:func:`tile_parents`; copy ``c`` also holds forward edges
+    ``[c·m, (c+1)·m)``).
     """
     if forest is None or copies == 1:
         return forest
@@ -61,7 +70,7 @@ def tile_forest(forest: ForestLayout | None, copies: int) -> ForestLayout | None
     m = n - forest.roots.size  # a forest has one edge per non-root
     copy = np.arange(copies, dtype=np.int64)[:, None]
     return ForestLayout(
-        parent=np.where(forest.parent >= 0, forest.parent + copy * n, -1).reshape(-1),
+        parent=tile_parents(forest.parent, copies),
         depth=np.tile(forest.depth, copies),
         link=(forest.link + copy * m).reshape(-1),
         roots=(forest.roots + copy * n).reshape(-1),

@@ -14,9 +14,10 @@ import numpy as np
 
 from ..core.registry import register
 from ..core.result import MISResult
-from ..graphs.graph import GraphValidationError, RootedTree, StaticGraph
+from ..graphs.graph import RootedTree, StaticGraph, tree_parents
 from ..algorithms.cole_vishkin import cv_reduction_iterations
 from ..runtime.rng import Draws, TrialDraws, as_draws
+from .cfb import tile_parents
 from .engine import UnionSweep, edge_both, neighbor_any
 
 __all__ = [
@@ -24,20 +25,7 @@ __all__ = [
     "FastColeVishkin",
     "fair_rooted_run",
     "cole_vishkin_colors",
-    "tree_parents",
 ]
-
-
-def tree_parents(graph: StaticGraph, tree: RootedTree | None = None) -> np.ndarray:
-    """*tree*'s parent array, else *graph*'s cached BFS rooting from
-    vertex 0 (:attr:`StaticGraph.rooting`); raises
-    :class:`GraphValidationError` when the graph has a cycle."""
-    if tree is not None:
-        return tree.parent
-    parent = graph.rooting
-    if parent is None:
-        raise GraphValidationError("graph has a cycle: a rooting needs a forest")
-    return parent
 
 
 def cole_vishkin_colors(
@@ -175,8 +163,9 @@ class FastColeVishkin:
 class FastFairRooted:
     """Vectorized FAIRROOTED as a :class:`~repro.core.result.MISAlgorithm`.
 
-    Accepts an explicit :class:`RootedTree` or roots the input tree
-    deterministically from vertex 0 (:func:`tree_parents`).
+    Accepts an explicit :class:`RootedTree` of the input graph or reads
+    the graph's cached rooting from vertex 0
+    (:func:`~repro.graphs.graph.tree_parents`).
     """
 
     def __init__(self, tree: RootedTree | None = None, validate: bool = False) -> None:
@@ -190,18 +179,13 @@ class FastFairRooted:
     def union_sweep(self, graph: StaticGraph) -> UnionSweep:
         """``sweep(union, draws) -> (membership, None)`` for unions of
         copies of *graph*: each copy gets *graph*'s rooting shifted by its
-        offset, and Cole–Vishkin is pinned to *graph*'s size
-        (``base_n``)."""
+        offset (:func:`~repro.fast.cfb.tile_parents`), and Cole–Vishkin is
+        pinned to *graph*'s size (``base_n``)."""
         n = graph.n
-        parent = np.asarray(tree_parents(graph, self.tree), dtype=np.int64)
+        parent = tree_parents(graph, self.tree)
 
         def sweep(union: StaticGraph, draws: Draws) -> tuple[np.ndarray, None]:
-            copies = union.n // max(n, 1)
-            offsets = (np.arange(copies, dtype=np.int64) * n)[:, None]
-            tiled = np.broadcast_to(parent, (copies, n))
-            union_parent = np.where(
-                tiled >= 0, tiled + offsets, np.int64(-1)
-            ).reshape(-1)
+            union_parent = tile_parents(parent, draws.copies)
             return fair_rooted_run(union, union_parent, draws, base_n=n)[0], None
 
         return sweep

@@ -10,12 +10,10 @@ calls and ``O(m)`` scatters:
 * Stage 4 — drop independence violations, vectorized Luby on any
   remaining uncovered nodes (the ε ≤ 1/n fallback path).
 
-Exact runs (:meth:`FastFairTree.run` and unions drawing from per-trial
-generators) hand the CFB calls the graph's cached
-:attr:`~repro.graphs.graph.StaticGraph.forest_layout`, tiled per copy,
-so on a forest they read each call's outcome off the rooting instead of
-flooding.  Vectorized unions keep flooding: rooting a graph imports
-scipy, which a process serving only vectorized requests never needs.
+Every run, lone or on a union in either mode, hands the CFB calls the
+graph's cached :attr:`~repro.graphs.graph.StaticGraph.forest_layout`,
+tiled per copy, so on a forest they read each call's outcome off the
+rooting instead of flooding.
 """
 
 from __future__ import annotations
@@ -124,16 +122,12 @@ class FastFairTree:
 
     def union_sweep(self, graph: StaticGraph) -> UnionSweep:
         """``sweep(union, draws) -> (membership, None)`` for unions of
-        copies of *graph*, with γ pinned to *graph*.  A union drawing from
-        per-trial generators tiles *graph*'s forest layout for its CFB
-        calls; one drawing from one generator passes none, so they flood.
-        """
+        copies of *graph*, with γ pinned to *graph* and *graph*'s forest
+        layout tiled for the CFB calls."""
         gamma = self.resolved_gamma(graph)
 
         def sweep(union: StaticGraph, draws: Draws) -> tuple[np.ndarray, None]:
-            forest = None
-            if draws.per_trial:
-                forest = tile_forest(graph.forest_layout, draws.copies)
+            forest = tile_forest(graph.forest_layout, draws.copies)
             return fair_tree_run(union, draws, gamma, forest)[0], None
 
         return sweep

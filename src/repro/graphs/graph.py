@@ -26,7 +26,13 @@ import numpy as np
 
 from ..obs.profile import phase
 
-__all__ = ["StaticGraph", "RootedTree", "ForestLayout", "GraphValidationError"]
+__all__ = [
+    "StaticGraph",
+    "RootedTree",
+    "ForestLayout",
+    "GraphValidationError",
+    "tree_parents",
+]
 
 
 class GraphValidationError(ValueError):
@@ -142,6 +148,71 @@ def _normalize_edges(
     if bool(np.all(src < dst)) and _is_strictly_sorted(src, dst):
         return arr  # already canonical: zero-copy
     return _canonicalize_arrays(n, src, dst, dedup, validate=False)
+
+
+def _root_forest(
+    graph: "StaticGraph", root: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(parent, link)`` of *graph* rooted at *root* and every other
+    component at its smallest vertex, or ``None`` if it has a cycle.
+
+    The Euler-tour technique (Tarjan and Vishkin, SIAM J. Comput. 1985)
+    in ``O(log n)`` array passes.  Arc ``j`` runs ``edge_src[j] ->
+    edge_dst[j]``, and arcs ``j`` and ``j + m`` are twins.  The arc after
+    u→v is the one after v→u in v's rotation, so each component's arcs
+    form closed tours; a tree's tour walks every edge down and then up.
+    ``link[v]`` indexes ``graph.edges`` at v's parent edge (0 at roots).
+    """
+    n, m = graph.n, graph.m
+    if m >= n > 0:
+        return None  # a forest has m <= n - 1
+    src, dst = graph.edge_src, graph.edge_dst
+    # rotation: each vertex's arcs in one run of slots, in arc order
+    order = np.argsort(src, kind="stable")
+    slot = np.empty(2 * m, dtype=np.intp)
+    slot[order] = np.arange(2 * m)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(graph.degrees, out=indptr[1:])
+    after = np.roll(slot, m) + 1  # the slot after each arc's twin
+    wrap = after == indptr[dst + 1]
+    after[wrap] = indptr[dst[wrap]]
+    succ = order[after]
+    # pointer doubling: each tour's smallest slot, its smallest vertex's
+    # first arc, labels the tour and starts it
+    first, hop = slot, succ
+    while True:
+        low = np.minimum(first, first[hop])
+        if np.array_equal(low, first):
+            break
+        first, hop = low, hop[hop]
+    # a tree with an edge has one tour and m = n - 1; a component with a
+    # cycle has more edges than vertices minus tours
+    tours = np.count_nonzero(first == slot)
+    if m != n - np.count_nonzero(graph.degrees == 0) - tours:
+        return None
+    if m and indptr[root] < indptr[root + 1]:
+        first[first == first[order[indptr[root]]]] = indptr[root]
+    # list ranking: cut each tour before its start, then count each
+    # arc's hops to the tour's last arc by pointer jumping
+    last = slot[succ] == first
+    left = (~last).astype(np.int64)
+    hop = np.where(last, np.arange(2 * m), succ)
+    while True:
+        jump = hop[hop]
+        if np.array_equal(jump, hop):
+            break
+        left += left[hop]
+        hop = jump
+    # edge j is walked lo -> hi first iff that arc ranks before its twin
+    down = left[:m] > left[m:]
+    e = graph.edges
+    child = np.where(down, e[:, 1], e[:, 0])
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[child] = np.where(down, e[:, 0], e[:, 1])
+    # intp, as numpy gathers through int32 indices several times slower
+    link = np.zeros(n, dtype=np.intp)
+    link[child] = np.arange(m)
+    return parent, link
 
 
 @dataclass(frozen=True)
@@ -391,11 +462,8 @@ class StaticGraph:
         return int(count), labels.astype(np.int64)
 
     def connected_components(self) -> tuple[int, np.ndarray]:
-        """Label connected components; returns ``(count, labels)``.
-
-        Cached: rooting a tree asks for components twice (BFS rooting and
-        the forest check), so the union-find pass runs once per graph.
-        """
+        """Label connected components; returns ``(count, labels)``
+        (cached per graph)."""
         return self._components
 
     def is_connected(self) -> bool:
@@ -407,60 +475,36 @@ class StaticGraph:
         return self.n > 0 and self.m == self.n - 1 and self.is_connected()
 
     def is_forest(self) -> bool:
-        """True iff acyclic (``m == n - #components``)."""
-        if self.m >= self.n > 0:
-            return False  # a forest has m <= n - 1; no components pass
-        count, _ = self.connected_components()
-        return self.m == self.n - count
-
-    @cached_property
-    def rooting(self) -> np.ndarray | None:
-        """Parents of the BFS rooting from vertex 0, or ``None`` if the
-        graph has a cycle.
-
-        :meth:`RootedTree.from_graph`'s parent array (``-1`` at roots),
-        computed on first use and kept with the graph: FAIRROOTED,
-        Cole–Vishkin and exact FAIRTREE root a graph once per process,
-        not once per run or pool chunk.
-        """
-        if not self.is_forest():
-            return None
-        return RootedTree.from_graph(self).parent
+        """True iff acyclic (:attr:`forest_layout` exists)."""
+        return self.forest_layout is not None
 
     @cached_property
     def forest_layout(self) -> "ForestLayout | None":
-        """:attr:`rooting` with each vertex's depth and parent edge, or
-        ``None`` if the graph has a cycle.
+        """The rooting from vertex 0 (and from the smallest vertex of
+        every other component) with each vertex's depth and parent edge,
+        or ``None`` if the graph has a cycle.
 
-        Built on first use, by exact FAIRTREE only (see
-        :func:`repro.fast.cfb.cfb_fast`).
+        Built on first use and kept with the graph: FAIRROOTED,
+        Cole–Vishkin and FAIRTREE root a graph once per process, not once
+        per run or pool chunk.
         """
-        parent = self.rooting
-        if parent is None:
+        rooted = _root_forest(self, 0)
+        if rooted is None:
             return None
-        n = self.n
+        parent, link = rooted
         roots = np.flatnonzero(parent < 0)
-        kids = np.flatnonzero(parent >= 0)
         # depth by pointer doubling: depth[v] counts the hops from v to
-        # anc[v], its 2^k-th ancestor or its root; O(log depth) passes
+        # anc[v], its 2^k-th ancestor or its root; O(log depth) passes,
+        # and never more than a depth below n needs
         depth = (parent >= 0).astype(np.int32)
         anc = parent.copy()
         anc[roots] = roots
-        while True:
+        for _ in range(self.n.bit_length()):
             nxt = anc[anc]
             if np.array_equal(nxt, anc):
                 break
             depth += depth[anc]
             anc = nxt
-        # canonical edges are sorted (lo, hi) rows, so a parent link's
-        # undirected index is a binary search on the fused key; it stays
-        # intp, as numpy gathers through int32 indices several times slower
-        link = np.zeros(n, dtype=np.intp)
-        if kids.size:
-            lo = np.minimum(kids, parent[kids])
-            hi = np.maximum(kids, parent[kids])
-            e = self.edges
-            link[kids] = np.searchsorted(e[:, 0] * np.int64(n) + e[:, 1], lo * n + hi)
         return ForestLayout(parent=parent, depth=depth, link=link, roots=roots)
 
     def subgraph_mask(self, keep: np.ndarray) -> "StaticGraph":
@@ -478,15 +522,6 @@ class StaticGraph:
         e = self.edges
         sel = keep[e[:, 0]] & keep[e[:, 1]]
         return StaticGraph(n=self.n, edges=e[sel])
-
-    def bfs_order(self, source: int) -> np.ndarray:
-        """Vertices of ``source``'s component in BFS order."""
-        from scipy.sparse.csgraph import breadth_first_order
-
-        order, _ = breadth_first_order(
-            self.adjacency_csr(), source, directed=False, return_predecessors=True
-        )
-        return order.astype(np.int64)
 
     def bfs_levels(self, sources: Sequence[int] | np.ndarray) -> np.ndarray:
         """Hop distance from the nearest source; ``-1`` if unreachable.
@@ -656,48 +691,18 @@ class RootedTree:
 
     @classmethod
     def from_graph(cls, graph: StaticGraph, root: int = 0) -> "RootedTree":
-        """Root a tree/forest by BFS from ``root`` (and from the minimum
-        unvisited vertex of every other component).
+        """Root a tree/forest at ``root`` (and every other component at
+        its smallest vertex).
 
-        Implemented as one C-level BFS from a virtual super-root wired
-        to every component root, so million-node trees root in O(m)
-        array time regardless of depth.  For forests the parent
-        assignment is order-independent (each vertex has a unique path
-        to its component's root), hence identical to the historical
-        sequential traversal.
+        Given the roots, a forest's parents are unique; they are read off
+        the Euler tours of its arcs in ``O(log n)`` numpy passes, however
+        deep the tree.  Raises :class:`GraphValidationError` if the graph
+        has a cycle.
         """
-        from scipy.sparse import csr_array
-        from scipy.sparse.csgraph import breadth_first_order
-
-        n = graph.n
-        if n == 0:
-            return cls(graph=graph, parent=np.full(0, -1, dtype=np.int64))
-        _, labels = graph.connected_components()
-        # one root per component: the minimum vertex, except that the
-        # requested root wins its own component
-        roots = np.full(int(labels.max()) + 1, n, dtype=np.int64)
-        np.minimum.at(roots, labels, np.arange(n, dtype=np.int64))
-        roots[labels[root]] = root
-        # Augment the cached CSR with one extra row (the super-root's
-        # out-edges to every component root) instead of rebuilding the
-        # matrix from COO triples — O(m) memcpy, no re-sort.  The graph's
-        # own rows are symmetric, so a directed BFS from the super-root
-        # still reaches (and correctly parents) every vertex.
-        indptr, indices = graph._csr
-        indptr_aug = np.concatenate(
-            [indptr, [indptr[-1] + len(roots)]]
-        ).astype(np.int64)
-        indices_aug = np.concatenate([indices, roots])
-        adj = csr_array(
-            (np.ones(len(indices_aug), dtype=np.int8), indices_aug, indptr_aug),
-            shape=(n + 1, n + 1),
-        )
-        _, pred = breadth_first_order(
-            adj, n, directed=True, return_predecessors=True
-        )
-        parent = pred[:n].astype(np.int64)
-        parent[(parent == n) | (parent < 0)] = -1
-        return cls(graph=graph, parent=parent)
+        rooted = _root_forest(graph, root)
+        if rooted is None:
+            raise GraphValidationError("underlying graph must be acyclic")
+        return cls(graph=graph, parent=rooted[0])
 
     @property
     def n(self) -> int:
@@ -722,10 +727,10 @@ class RootedTree:
 
 @dataclass(frozen=True)
 class ForestLayout:
-    """A forest's rooting as exact FAIRTREE's CNTRLFAIRBIPART calls read it
-    (:attr:`StaticGraph.forest_layout`).
+    """A forest's rooting as FAIRROOTED, Cole–Vishkin and FAIRTREE's
+    CNTRLFAIRBIPART calls read it (:attr:`StaticGraph.forest_layout`).
 
-    ``parent`` is :attr:`StaticGraph.rooting` itself (``-1`` at roots),
+    ``parent`` holds each vertex's parent (``-1`` at roots),
     ``depth`` counts the hops from the root, ``link`` is the undirected
     index (into ``graph.edges``) of the vertex's parent edge (``0`` at
     roots, where no caller reads it), and ``roots`` lists the roots.
@@ -735,3 +740,21 @@ class ForestLayout:
     depth: np.ndarray = field(repr=False)
     link: np.ndarray = field(repr=False)
     roots: np.ndarray = field(repr=False)
+
+
+def tree_parents(graph: StaticGraph, tree: RootedTree | None = None) -> np.ndarray:
+    """The parent array FAIRROOTED and Cole–Vishkin run on: *tree*'s,
+    which must root *graph* itself, else *graph*'s cached
+    :attr:`~StaticGraph.forest_layout`.
+
+    Raises :class:`ValueError` for a *tree* of another graph and
+    :class:`GraphValidationError` for a graph with a cycle.
+    """
+    if tree is not None:
+        if tree.graph is not graph and tree.graph != graph:
+            raise ValueError("provided rooting does not match the input graph")
+        return tree.parent
+    layout = graph.forest_layout
+    if layout is None:
+        raise GraphValidationError("graph has a cycle: a rooting needs a forest")
+    return layout.parent

@@ -54,8 +54,6 @@ class Draws(Protocol):
 
     #: Copies in the union.
     copies: int
-    #: True when every copy draws from its own trial's generator.
-    per_trial: bool
 
     def integers(
         self,
@@ -78,8 +76,6 @@ class UnionDraws:
     """One generator for a whole union: every call forwards to it, for
     every copy, whatever ``who`` says."""
 
-    per_trial = False
-
     def __init__(self, rng: np.random.Generator, copies: int = 1) -> None:
         self.rng = rng
         self.copies = copies
@@ -94,8 +90,6 @@ class UnionDraws:
 class TrialDraws:
     """One generator per copy: copy ``c`` draws from ``rngs[c]`` only,
     and only while ``who`` names it."""
-
-    per_trial = True
 
     def __init__(self, rngs: Sequence[np.random.Generator]) -> None:
         self.rngs = list(rngs)

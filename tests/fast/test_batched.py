@@ -495,7 +495,8 @@ def reference_fair_tree_trials(
 
 
 def reference_fair_rooted_trials(graph, trials, seed=None, batch=64, parent=None):
-    from repro.fast.fair_rooted import fair_rooted_run, tree_parents
+    from repro.fast.fair_rooted import fair_rooted_run
+    from repro.graphs.graph import tree_parents
 
     n = graph.n
     if parent is None:

@@ -433,20 +433,38 @@ class TestValidation:
         assert not counts.any()
 
 
+def _exact_chunk(alg, g) -> None:
+    chunk_counts(alg, g, spawn_trial_seeds(7, 60))
+
+
+def _vector_chunk(alg, g) -> None:
+    vector_chunk_counts(alg, g, np.random.SeedSequence(7), 60)
+
+
 class TestForestPathOnUnions:
-    def test_table1_unions_take_the_forest_path(self):
-        """Exact unions of the paper's six trees read every CFB call off
-        the tiled rooting: one call per union and stage."""
+    @pytest.mark.parametrize(
+        "chunk, share",
+        [(_exact_chunk, 0.95), (_vector_chunk, 0.8)],
+        ids=["chunk_counts", "vector_chunk_counts"],
+    )
+    def test_table1_unions_take_the_forest_path(self, chunk, share):
+        """Unions of the paper's six trees, exact or vectorized, read
+        their CFB calls off the tiled rooting: one call per union and
+        stage, flooding only when some copy cannot show that its flood
+        settles.  A lone call fails to show it in under 0.1% of calls
+        (``test_fast_cfb.py``), so a union of 60 copies floods in under
+        6% of calls; the 18 vectorized calls (one 60-copy union per tree)
+        then expect about one flood, and the bound allows three."""
         forest = flood = unions = 0
         for tree in table1_trees():
             with use_profiler() as prof:
-                chunk_counts(FastFairTree(), tree.graph, spawn_trial_seeds(7, 60))
+                chunk(FastFairTree(), tree.graph)
             report = prof.report()
             forest += report["counts"].get("cfb.forest_calls", 0)
             flood += report["phases"].get("cfb.election", {}).get("calls", 0)
             unions += report["phases"]["batched.sweep"]["calls"]
         assert forest + flood == 3 * unions
-        assert forest / (forest + flood) >= 0.95
+        assert forest / (forest + flood) >= share
 
     def test_one_failing_copy_floods_the_union(self):
         """At γ = 2 most copies cannot show the flood settles, so whole

@@ -285,7 +285,7 @@ class TestForestPath:
 
     @pytest.mark.parametrize("graph", [grid_graph(4, 5), cycle_graph(9)])
     def test_non_forests_flood(self, graph):
-        assert graph.rooting is None and graph.forest_layout is None
+        assert graph.forest_layout is None
         rng = np.random.default_rng(0)
         active = np.ones(graph.n, dtype=bool)
         with use_profiler() as prof:

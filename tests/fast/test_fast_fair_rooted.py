@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import repro.graphs.graph as graph_module
+from repro.algorithms.cole_vishkin import ColeVishkinMIS
+from repro.algorithms.fair_rooted import FairRooted
 from repro.analysis import is_maximal_independent_set, run_trials
-from repro.analysis.montecarlo import vector_chunk_counts
+from repro.analysis.montecarlo import chunk_counts, vector_chunk_counts
 from repro.fast.batched import batched_trials
 from repro.fast.fair_rooted import (
     FastColeVishkin,
@@ -12,6 +15,7 @@ from repro.fast.fair_rooted import (
     cole_vishkin_colors,
     fair_rooted_run,
 )
+from repro.fast.fair_tree import FastFairTree
 from repro.graphs import GraphValidationError, RootedTree
 from repro.graphs.generators import (
     complete_tree,
@@ -21,6 +25,7 @@ from repro.graphs.generators import (
     random_tree,
     star_graph,
 )
+from repro.runtime.rng import spawn_trial_seeds
 
 
 class TestVectorizedCV:
@@ -91,6 +96,14 @@ class TestFastFairRooted:
         assert "stage1_size" in info
 
 
+_ROOTED = {
+    "fair_rooted": FairRooted,
+    "cole_vishkin": ColeVishkinMIS,
+    "fair_rooted_fast": FastFairRooted,
+    "cole_vishkin_fast": FastColeVishkin,
+}
+
+
 class TestCachedRooting:
     """Without ``tree=`` the engines read the graph's cached rooting, which
     is :meth:`RootedTree.from_graph`'s, so seeded results do not move."""
@@ -110,20 +123,40 @@ class TestCachedRooting:
 
     def test_graph_is_rooted_once(self, monkeypatch):
         calls = []
-        original = RootedTree.from_graph.__func__
+        original = graph_module._root_forest
 
-        def counting(cls, graph, root=0):
+        def counting(graph, root):
             calls.append(graph)
-            return original(cls, graph, root)
+            return original(graph, root)
 
-        monkeypatch.setattr(RootedTree, "from_graph", classmethod(counting))
+        monkeypatch.setattr(graph_module, "_root_forest", counting)
         g = random_tree(50, seed=1).graph
         rng = np.random.default_rng(0)
         FastFairRooted().run(g, rng)
         FastFairRooted().run(g, rng)
         FastColeVishkin().run(g, rng)
         vector_chunk_counts(FastFairRooted(), g, 0, 8)
-        assert len(calls) == 1
+        chunk_counts(FastFairTree(), g, spawn_trial_seeds(0, 8))
+        vector_chunk_counts(FastFairTree(), g, 0, 8)
+        FairRooted().run(g, rng)
+        ColeVishkinMIS().run(g, rng)
+        FairRooted().run(g, rng)
+        assert calls == [g]
+
+    @pytest.mark.parametrize("name", list(_ROOTED))
+    def test_rooting_of_another_graph_rejected(self, name):
+        """A tree given at construction must root the graph the engine
+        runs on; another tree of the same size is refused, not run."""
+        cls = _ROOTED[name]
+        tree = random_tree(40, seed=1)
+        other = random_tree(40, seed=2).graph
+        rng = np.random.default_rng(0)
+        assert cls(tree=tree).run(tree.graph, rng).membership.any()
+        with pytest.raises(ValueError, match="does not match the input graph"):
+            cls(tree=tree).run(other, rng)
+        if hasattr(cls, "union_sweep"):
+            with pytest.raises(ValueError, match="does not match"):
+                batched_trials(cls(tree=tree), other, 4, seed=0)
 
     def test_explicit_tree_wins(self):
         t = complete_tree(3, 3)

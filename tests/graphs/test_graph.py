@@ -153,10 +153,6 @@ class TestStructure:
         levels = g.bfs_levels([0])
         assert levels[2] == -1 and levels[3] == -1
 
-    def test_bfs_order_covers_component(self):
-        order = grid_graph(3, 3).bfs_order(0)
-        assert sorted(order.tolist()) == list(range(9))
-
     def test_diameter_path(self):
         assert path_graph(7).diameter() == 6
 
