@@ -12,8 +12,10 @@ This module provides the layered primitives the estimation service
 * :func:`normalize_jobs` — the **single source of truth** for ``n_jobs``
   semantics, shared by ``run_trials``, the CLI ``--jobs`` flag, the
   experiment harnesses, and the service;
-* :class:`WorkerSet` — worker processes started once: each chunk
-  packet names its ``(algorithm, graph)``, so one set runs every pair;
+* :class:`WorkerSet` — worker processes started once, one pipe each:
+  each chunk packet names its ``(algorithm, graph)``, so one set runs
+  every pair, and each worker keeps the graphs it was sent, so a graph
+  crosses once per worker;
 * :class:`TrialPool` — one ``(algorithm, graph)`` pair on a worker set,
   its own or a borrowed one.  Every chunk takes one path — exact or
   vectorized, inline or in a worker, through ``submit_chunk`` or
@@ -41,6 +43,9 @@ Every entry point that accepts a job count (``run_trials(n_jobs=...)``,
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict, deque
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Sequence
 
@@ -48,13 +53,6 @@ import numpy as np
 
 from ..core.result import MISAlgorithm
 from ..graphs.graph import StaticGraph
-from ..graphs.shm import (
-    GraphShmHandle,
-    ShmUnavailable,
-    attach_graph,
-    export_graph,
-    shm_enabled,
-)
 from ..obs.bridge import trial_rounds_histogram
 from ..obs.logging import get_logger
 from ..obs.metrics import get_registry
@@ -74,12 +72,18 @@ __all__ = [
     "normalize_jobs",
     "resolve_start_method",
     "TrialPool",
+    "WorkerLost",
     "WorkerSet",
     "chunk_counts",
     "vector_chunk_counts",
 ]
 
 _log = get_logger("repro.pool")
+
+#: Graphs a worker keeps, least recently used first out.
+_MEMO_SIZE = 8
+#: Seconds a hard close gives SIGTERMed workers before SIGKILL.
+_TERM_GRACE_S = 1.0
 
 
 def normalize_jobs(n_jobs: int, limit: int | None = None) -> int:
@@ -211,27 +215,103 @@ def _execute(
     )
 
 
-def _work(packet: tuple) -> ChunkResult:
-    """The worker entry point: one self-contained ``(algorithm, graph,
-    chunk packet)``.  A :class:`GraphShmHandle` *graph* is attached
-    through the per-process cache; any other is the graph itself."""
-    algorithm, graph, chunk_packet = packet
-    if isinstance(graph, GraphShmHandle):
-        graph = attach_graph(graph)
-    return _execute(algorithm, graph, chunk_packet)
+def _lru_put(memo: OrderedDict, key: str, value: Any) -> None:
+    """Store *value* as *key*'s entry, the most recent of at most
+    ``_MEMO_SIZE``; the worker's graph memo and the set's copy of it
+    evict alike."""
+    memo[key] = value
+    memo.move_to_end(key)
+    if len(memo) > _MEMO_SIZE:
+        memo.popitem(last=False)
 
 
-def _ignore_sigint() -> None:
-    """Worker initializer: a terminal Ctrl-C signals the whole process
-    group, and the parent alone handles it by terminating the workers.
+def _answer(graphs: OrderedDict, message: tuple) -> tuple:
+    """A worker's reply to one ``(algorithm, content hash, graph or
+    None, chunk packet)`` *message*: ``(ok, ChunkResult or exception)``.
+    ``None`` names a graph this worker was sent before."""
+    try:
+        algorithm, key, graph, packet = message
+        if graph is None:
+            graph = graphs[key]
+        else:
+            # Later chunks of any pool read this copy: none may write it.
+            for array in (graph.edges, *graph.__dict__.get("_csr", ())):
+                array.setflags(write=False)
+        _lru_put(graphs, key, graph)
+        return True, _execute(algorithm, graph, packet)
+    except Exception as exc:  # noqa: BLE001 - the packet's error callback
+        return False, exc
 
-    SIGTERM keeps its handler: a worker killed by the default action
-    can die holding the task queue's lock, and ``Pool.terminate`` then
-    blocks on it.
-    """
+
+def _serve(conn: Any) -> None:
+    """A worker process: answer the messages on *conn* until ``None``
+    or the set's end closes, keeping the graphs it was sent."""
     import signal
+    from multiprocessing.reduction import ForkingPickler
 
+    # A terminal Ctrl-C signals the whole process group; the parent alone
+    # handles it by closing the set.  Nor may a forked worker run the
+    # parent's SIGTERM handler.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    graphs: OrderedDict[str, StaticGraph] = OrderedDict()
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        except Exception as exc:  # noqa: BLE001 - a message that does not unpickle
+            reply = (False, exc)
+        else:
+            if message is None:
+                return
+            reply = _answer(graphs, message)
+        try:
+            data = ForkingPickler.dumps(reply)
+        except Exception as exc:  # noqa: BLE001 - name the problem instead
+            error = RuntimeError(f"chunk reply does not pickle: {exc!r}")
+            data = ForkingPickler.dumps((False, error))
+        try:
+            conn.send_bytes(data)
+        except OSError:
+            return
+
+
+def _call(callback: Callable[[Any], None], value: Any) -> None:
+    """Run a packet's callback; the reader thread outlives its errors."""
+    try:
+        callback(value)
+    except Exception:  # noqa: BLE001 - logged, not fatal
+        import traceback
+
+        _log.error("pool_callback_failed", traceback=traceback.format_exc())
+
+
+class WorkerLost(RuntimeError):
+    """A chunk's worker process died: its second worker as well, or the
+    last worker of its set."""
+
+
+@dataclass(eq=False)
+class _Task:
+    """A packet queued or running, with its callbacks."""
+
+    packet: tuple
+    callback: Callable[[ChunkResult], None]
+    error_callback: Callable[[BaseException], None]
+    resent: bool = False
+
+
+@dataclass(eq=False)
+class _Worker:
+    """One worker process, the set's end of its pipe, the packet it runs
+    and the set's copy of its graph memo (content hashes, LRU order)."""
+
+    process: Any
+    conn: Any
+    task: _Task | None = None
+    held: OrderedDict = field(default_factory=OrderedDict)
+    eof: bool = False
 
 
 class WorkerSet:
@@ -241,23 +321,50 @@ class WorkerSet:
     :class:`TrialPool` opened on it.  ``workers`` follows
     :func:`normalize_jobs`; with one the set starts no processes and
     packets run inline, which on few-core hosts beats oversubscribing.
+
+    Otherwise each worker is a daemonic process on a duplex pipe of its
+    own and runs at most one packet; the others wait here in FIFO
+    order.  A worker keeps the last ``_MEMO_SIZE`` graphs it was sent,
+    by content hash, and the set keeps a copy of that memo, so a graph
+    crosses a pipe only to a worker that lacks it.  One reader thread
+    delivers every reply and notices every worker's exit.  A dead
+    worker's replies are still delivered; its unanswered packet goes
+    once more to the next free worker, under the same chunk ID, and
+    fails with :class:`WorkerLost` if that worker dies too, as every
+    packet does once no worker is left.  No replacement is started:
+    forking while this process's threads run can copy a held lock into
+    the child.
     """
 
     def __init__(self, workers: int = 1, context: str | None = None) -> None:
         self.workers = normalize_jobs(workers)
-        self._pool = None
-        if self.workers > 1:
-            import multiprocessing as mp
-            from multiprocessing import resource_tracker
+        self._workers: list[_Worker] = []
+        self._queue: deque[_Task] = deque()
+        self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+        self._closed = False  # no new packets
+        self._stopping = False  # exits are expected; nothing is re-sent
+        self._reader: threading.Thread | None = None
+        if self.workers == 1:
+            return
+        import multiprocessing as mp
 
-            # A worker forked before this process's resource tracker runs
-            # starts its own on its first attach, and that tracker unlinks
-            # the attached segments when the worker exits.
-            resource_tracker.ensure_running()
-            ctx = mp.get_context(resolve_start_method(context))
-            self._pool = ctx.Pool(
-                processes=self.workers, initializer=_ignore_sigint
-            )
+        self._lost = get_registry().counter(
+            "pool_workers_lost_total",
+            "Worker processes that died while their set was open",
+        )
+        ctx = mp.get_context(resolve_start_method(context))
+        for _ in range(self.workers):
+            conn, child = ctx.Pipe()
+            process = ctx.Process(target=_serve, args=(child,), daemon=True)
+            process.start()
+            child.close()
+            self._workers.append(_Worker(process, conn))
+        # Started after the forks: no child inherits a lock it holds.
+        self._reader = threading.Thread(
+            target=self._read, name="repro-pool-reader", daemon=True
+        )
+        self._reader.start()
 
     def submit(
         self,
@@ -265,57 +372,191 @@ class WorkerSet:
         callback: Callable[[ChunkResult], None],
         error_callback: Callable[[BaseException], None],
     ) -> None:
-        """Run one :func:`_work` *packet*; *callback* gets its result
-        later on processes, and before this returns inline."""
-        if self._pool is not None:
-            self._pool.apply_async(
-                _work, (packet,), callback=callback, error_callback=error_callback
-            )
+        """Run one ``(algorithm, content hash, graph, chunk packet)``
+        *packet*; *callback* gets its result later, on the reader
+        thread, and before this returns inline."""
+        if self._reader is None:
+            algorithm, _, graph, chunk_packet = packet
+            try:
+                result = _execute(algorithm, graph, chunk_packet)
+            except Exception as exc:  # noqa: BLE001 - forwarded to owner
+                error_callback(exc)
+                return
+            callback(result)
             return
-        try:
-            result = _work(packet)
-        except Exception as exc:  # noqa: BLE001 - forwarded to owner
-            error_callback(exc)
-            return
-        callback(result)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker set is closed")
+            self._queue.append(_Task(packet, callback, error_callback))
+            failed = self._dispatch()
+        for task, exc in failed:
+            _call(task.error_callback, exc)
 
     def map(self, packets: list[tuple]) -> list[ChunkResult]:
-        """Run *packets* through :func:`_work`; wait for every result."""
-        if self._pool is not None:
-            return self._pool.map(_work, packets)
-        return [_work(packet) for packet in packets]
+        """Run *packets* through :meth:`submit`; wait for every result."""
+        from concurrent.futures import Future
+
+        futures = [Future() for _ in packets]
+        for packet, future in zip(packets, futures):
+            self.submit(packet, future.set_result, future.set_exception)
+        return [future.result() for future in futures]
 
     @property
     def processes(self) -> list:
-        """The worker ``Process`` objects (empty inline)."""
-        if self._pool is None:
-            return []
-        return list(self._pool._pool)  # noqa: SLF001 - stdlib Pool internals
+        """The live worker ``Process`` objects (empty inline)."""
+        with self._lock:
+            return [worker.process for worker in self._workers]
 
     def close(self, wait: bool = True) -> None:
-        """Stop the processes, after their queued packets with ``wait``
-        or at once without, and join them.  Idempotent."""
-        if self._pool is not None:
+        """Stop the processes and join them.  With ``wait``, once no
+        packet is queued or running; without, at once, dropping every
+        packet: SIGTERM, and SIGKILL for a worker still alive
+        ``_TERM_GRACE_S`` later.  Idempotent."""
+        if self._reader is None:
+            return
+        with self._lock:
+            self._closed = True
+            while wait and (
+                self._queue or any(w.task is not None for w in self._workers)
+            ):
+                self._changed.wait()
+            self._stopping = True
+            self._queue.clear()
+            workers = list(self._workers)
             if wait:
-                self._pool.close()
-            else:
-                self._pool.terminate()
-            self._pool.join()
+                for worker in workers:
+                    try:
+                        worker.conn.send(None)
+                    except OSError:  # it exited; the reader buries it
+                        pass
+        if threading.current_thread() is self._reader:
+            return
+        if not wait:
+            for worker in workers:
+                worker.process.terminate()
+            self._reader.join(_TERM_GRACE_S)
+            for process in self.processes:
+                process.kill()
+        self._reader.join()
+
+    # ---- held by the lock ---------------------------------------------- #
+    def _dispatch(self) -> list[tuple[_Task, BaseException]]:
+        """Hand queued packets to idle workers, in order.  Returns the
+        packets that failed, for error callbacks outside the lock."""
+        from multiprocessing.reduction import ForkingPickler
+
+        if not self._workers:
+            lost = WorkerLost("no worker process is left")
+            failed = [(task, lost) for task in self._queue]
+            self._queue.clear()
+            return failed
+        failed = []
+        for worker in self._workers:
+            while worker.task is None and not worker.eof and self._queue:
+                task = self._queue.popleft()
+                algorithm, key, graph, packet = task.packet
+                fresh = key not in worker.held
+                message = (algorithm, key, graph if fresh else None, packet)
+                try:
+                    data = ForkingPickler.dumps(message)
+                except Exception as exc:  # noqa: BLE001 - the packet fails
+                    failed.append((task, exc))
+                    continue
+                _lru_put(worker.held, key, None)
+                worker.task = task
+                try:
+                    worker.conn.send_bytes(data)
+                except OSError:  # it died; its exit re-sends the packet
+                    pass
+        return failed
+
+    # ---- the reader thread --------------------------------------------- #
+    def _read(self) -> None:
+        """Deliver replies and bury exited workers until none is left."""
+        from multiprocessing.connection import wait
+
+        while True:
+            with self._lock:
+                workers = list(self._workers)
+            if not workers:
+                return
+            ready = set(
+                wait(
+                    [w.conn for w in workers if not w.eof]
+                    + [w.process.sentinel for w in workers]
+                )
+            )
+            for worker in workers:
+                if worker.conn in ready:
+                    self._receive(worker)
+                if worker.process.sentinel in ready:
+                    self._bury(worker)
+
+    def _receive(self, worker: _Worker) -> None:
+        """Deliver the reply waiting on *worker*'s pipe."""
+        try:
+            ok, value = worker.conn.recv()
+        except (EOFError, OSError):  # it exited; its sentinel says so
+            worker.eof = True
+            return
+        except Exception as exc:  # noqa: BLE001 - a reply that does not unpickle
+            ok, value = False, RuntimeError(f"chunk reply does not unpickle: {exc!r}")
+        with self._lock:
+            task, worker.task = worker.task, None
+            if not ok:
+                # It may lack what it was sent; an empty copy stays true.
+                worker.held.clear()
+            failed = self._dispatch()
+            self._changed.notify_all()
+        _call(task.callback if ok else task.error_callback, value)
+        for lost, exc in failed:
+            _call(lost.error_callback, exc)
+
+    def _bury(self, worker: _Worker) -> None:
+        """Retire an exited *worker*: deliver what it sent, then re-send
+        or fail the packet it held."""
+        while not worker.eof and worker.conn.poll():
+            self._receive(worker)
+        worker.process.join()
+        with self._lock:
+            self._workers.remove(worker)
+            worker.conn.close()
+            task, worker.task = worker.task, None
+            lost = not self._stopping
+            resent = lost and task is not None and not task.resent
+            failed = []
+            if resent:
+                task.resent = True
+                self._queue.appendleft(task)
+            elif lost and task is not None:
+                pid = worker.process.pid
+                failed.append((task, WorkerLost(f"chunk lost with its second worker, pid {pid}")))
+            if lost:
+                failed += self._dispatch()
+            self._changed.notify_all()
+        if lost:
+            self._lost.inc()
+            _log.warning(
+                "worker_lost",
+                pid=worker.process.pid,
+                exitcode=worker.process.exitcode,
+                resent=resent,
+            )
+        for task, exc in failed:
+            _call(task.error_callback, exc)
 
 
 class TrialPool:
     """One ``(algorithm, graph)`` pair on a :class:`WorkerSet`.
 
     *workers* is a count, and the pool starts and owns a set of that
-    many, or a set the pool borrows; :meth:`close` then releases only
-    the graph.  On worker processes the graph travels over the zero-copy
-    shm transport: it is exported once into shared memory (one export
-    per graph, shared by its holders; :mod:`repro.graphs.shm`) and each
-    chunk packet carries only the O(1)-size handle.  When shared memory
-    is unavailable (or disabled host-wide via ``REPRO_SHM=0``) packets
-    carry the pickled graph: O(n+m) bytes per chunk, against the chunk's
-    Θ(trials × rounds × (n+m)) work.  A chunk's telemetry is absorbed by
-    *telemetry* when one is attached, and dropped otherwise.
+    many, or a set the pool borrows, which :meth:`close` leaves
+    running.  On worker processes the graph travels pickled, with the
+    caches it holds here (its content hash always, its CSR once built),
+    once to each worker that runs a chunk of it; the worker keeps it for
+    later chunks of every pool on the set.  A
+    chunk's telemetry is absorbed by *telemetry* when one is attached,
+    and dropped otherwise.
     """
 
     def __init__(
@@ -332,52 +573,24 @@ class TrialPool:
         self._owned = not isinstance(workers, WorkerSet)
         self._set = WorkerSet(workers, context) if self._owned else workers
         self.workers = self._set.workers
-        self._shared = None
-        self._shipped: StaticGraph | GraphShmHandle = graph
-        self._transport = "inline"
-        if self.workers > 1:
-            self._transport = "pickle"
-            if shm_enabled():
-                try:
-                    self._shared = export_graph(graph)
-                except ShmUnavailable as exc:
-                    _log.warning(
-                        "shm_export_failed",
-                        algorithm=algorithm.name,
-                        graph_n=graph.n,
-                        error=str(exc),
-                    )
-                else:
-                    self._shipped = self._shared.handle
-                    self._transport = "shm"
-                    # Bytes each worker would have copied under the pickle
-                    # transport but now maps instead.
-                    get_registry().counter(
-                        "shm_bytes_avoided_total",
-                        "Graph bytes not re-copied per worker thanks to "
-                        "the shm transport",
-                    ).inc(graph.payload_nbytes * self.workers)
+        # Workers keep graphs by content hash.
+        self._key = graph.content_hash() if self.workers > 1 else None
         _log.info(
             "pool_created",
             algorithm=algorithm.name,
             graph_n=graph.n,
             workers=self.workers,
             inline=self.workers == 1,
-            transport=self._transport,
         )
 
-    @property
-    def transport(self) -> str:
-        """How the graph reaches workers: ``inline``, ``pickle``, ``shm``."""
-        return self._transport
-
     def _packet(self, chunk: Any, vectorized: bool) -> tuple:
-        """The :func:`_work` packet of *chunk*: this pool's algorithm and
-        graph, the ambient trace position and a fresh chunk ID."""
+        """The :meth:`WorkerSet.submit` packet of *chunk*: this pool's
+        algorithm, graph key and graph, the ambient trace position and a
+        fresh chunk ID."""
         if not vectorized:
             chunk = list(chunk)
         packet = (current_trace_context(), new_chunk_id(), chunk, vectorized)
-        return (self.algorithm, self._shipped, packet)
+        return (self.algorithm, self._key, self.graph, packet)
 
     def _value(self, result: ChunkResult) -> np.ndarray:
         """The chunk's counts; its telemetry goes to the merge point."""
@@ -436,13 +649,9 @@ class TrialPool:
         return self._set.processes
 
     def close(self, wait: bool = True) -> None:
-        """Close an owned set (:meth:`WorkerSet.close`), then release the
-        graph's shm export.  Idempotent."""
+        """Close an owned set (:meth:`WorkerSet.close`).  Idempotent."""
         if self._owned:
             self._set.close(wait)
-        if self._shared is not None:
-            self._shared.close()
-            self._shared = None
 
     def terminate(self) -> None:
         """Stop an owned set's workers at once (abandons in-flight chunks)."""

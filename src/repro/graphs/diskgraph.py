@@ -23,10 +23,11 @@ Layout (all little-endian)::
              indices (2m,)  i8/i4   CSR adjacency
 
 The cached CSR is stored *materialized*, so a loaded graph never
-re-derives it — :class:`~repro.graphs.shm.SharedGraph` export and the
-engines start from the memmapped buffers directly.  ``compact=True``
-halves the file with int32 buffers at the cost of one widening copy on
-load (the default int64 layout stays zero-copy).
+re-derives it — the engines start from the memmapped buffers directly,
+and a pool pickles them, CSR included, to each worker that runs the
+graph.  ``compact=True`` halves the file with int32 buffers at the
+cost of one widening copy on load (the default int64 layout stays
+zero-copy).
 """
 
 from __future__ import annotations

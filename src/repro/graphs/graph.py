@@ -293,25 +293,18 @@ class StaticGraph:
         indices: np.ndarray,
         content_hash: str,
     ) -> "StaticGraph":
-        """Assemble a graph from pre-built (shared-memory) arrays.
+        """Assemble a graph from pre-built arrays.
 
-        Trusted path for :mod:`repro.graphs.shm`: the arrays were produced
-        by a validated graph on the exporter side, so validation is skipped
-        and the CSR + content hash are injected straight into the cache
-        slots (``cached_property`` stores into ``__dict__``) — attaching a
-        graph never recomputes anything.
+        Trusted path for :func:`~repro.graphs.diskgraph.load_reprograph`:
+        the arrays were written by a validated graph, so validation is
+        skipped and the CSR + content hash are injected straight into the
+        cache slots (``cached_property`` stores into ``__dict__``) —
+        loading a graph never recomputes anything.
         """
         graph = cls(n=n, edges=edges)
         graph.__dict__["_csr"] = (indptr, indices)
         graph.__dict__["_content_hash"] = content_hash
         return graph
-
-    @property
-    def payload_nbytes(self) -> int:
-        """Bytes of array data a pickled transport would copy per worker
-        (edge list plus cached CSR)."""
-        indptr, indices = self._csr
-        return int(self.edges.nbytes + indptr.nbytes + indices.nbytes)
 
     @classmethod
     def from_networkx(cls, graph) -> "StaticGraph":

@@ -27,8 +27,9 @@ parent never saw either.  This module is the bridge:
   metric's ``merge`` — counters add, gauges adopt, histograms add their
   buckets exactly and refuse another bucket layout — with no text
   rendering in the worker and no parsing in the parent.  Chunk IDs
-  are remembered, so absorbing the same chunk twice — e.g. a retried
-  dispatch whose first result later arrives anyway — is idempotent.
+  are remembered, so absorbing the same chunk twice is idempotent: a
+  worker set re-sends a dead worker's unanswered packet under its chunk
+  ID, so should both copies ever answer, the chunk still merges once.
 
 Every :class:`~repro.analysis.montecarlo.TrialPool` chunk, inline or in
 a worker process, runs under this one harness.  The plane follows
@@ -282,10 +283,10 @@ class RemoteTelemetry:
     """Parent-side merge point for piggybacked worker telemetry.
 
     One instance per serving registry (the scheduler owns it); thread
-    safe, because pool result callbacks arrive on callback threads.
-    ``absorb`` is idempotent per chunk: the first result for a chunk ID
-    merges, later duplicates (chunk retries, racing re-dispatch) only
-    bump ``telemetry_chunks_duplicate_total``.
+    safe, because pool result callbacks arrive on the worker set's
+    reader thread.  ``absorb`` is idempotent per chunk: the first result
+    for a chunk ID merges, later duplicates (both copies of a re-sent
+    packet answering) only bump ``telemetry_chunks_duplicate_total``.
     """
 
     #: How many absorbed chunk IDs to remember for dedup.

@@ -312,7 +312,9 @@ class BatchScheduler:
         self._hard_stop = False
         # Forked before the dispatcher thread runs: a worker forked while
         # another thread holds a lock (an import lock, say) deadlocks.
-        self._workers = WorkerSet(self.workers, context)
+        # Built under this registry, which counts the set's lost workers.
+        with use_registry(self.registry):
+            self._workers = WorkerSet(self.workers, context)
         self._thread = threading.Thread(
             target=self._loop, name="repro-service-scheduler", daemon=True
         )
@@ -776,8 +778,8 @@ class BatchScheduler:
         return True
 
     def _retire(self, ticket: Ticket) -> bool:
-        """Take *ticket* out of the live set and close its pool, which
-        releases its hold on the graph; True if it was live."""
+        """Take *ticket* out of the live set and close its pool; True if
+        it was live."""
         with self._lock:
             if self._inflight.get(ticket.key) is ticket:
                 del self._inflight[ticket.key]
@@ -849,7 +851,6 @@ class BatchScheduler:
                 time.sleep(0.005)
         else:
             self._hard_stop = True
-            # No chunk may attach a graph the aborts below release.
             self._workers.close(wait=False)
             self._abort_live()
         self._queue.put(None)

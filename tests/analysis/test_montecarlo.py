@@ -1,13 +1,20 @@
 """Tests for the Monte-Carlo trial runner (serial and parallel)."""
 
+import os
 import signal
 import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import estimate_join_probabilities, run_trials
+from repro.analysis.montecarlo import (
+    TrialPool,
+    estimate_join_probabilities,
+    run_trials,
+)
 from repro.core.result import InvalidMISError, MISResult
 from repro.fast.fair_tree import FastFairTree
 from repro.fast.luby import FastLuby
@@ -29,6 +36,34 @@ class EmptySetMIS:
         if self.validate:
             result.validate(graph)
         return result
+
+
+class StubbornSleeper:
+    """Ignores SIGTERM, marks its worker as running in *marks*, then
+    sleeps far past any test's patience."""
+
+    name = "stubborn_sleeper"
+
+    def __init__(self, marks: str) -> None:
+        self.marks = marks
+
+    def run(self, graph, rng):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        Path(self.marks, str(os.getpid())).touch()
+        time.sleep(60)
+        return MISResult(np.zeros(graph.n, dtype=bool))
+
+
+class UnpicklableError(Exception):
+    def __reduce__(self):
+        raise TypeError("this error does not pickle")
+
+
+class RaisesUnpicklable:
+    name = "raises_unpicklable"
+
+    def run(self, graph, rng):
+        raise UnpicklableError("lost in the pipe")
 
 
 class TestSerial:
@@ -198,3 +233,28 @@ class TestWorkerSet:
             assert not pending, f"workers still take SIGINT: {pending}"
         finally:
             workers.close()
+
+    def test_terminate_is_bounded_when_workers_ignore_sigterm(self, tmp_path):
+        # Ctrl-C on a multi-worker service ends in terminate(); a worker
+        # that outlives SIGTERM must not hold it up.
+        pool = TrialPool(StubbornSleeper(str(tmp_path)), path_graph(4), workers=2)
+        procs = pool.processes
+        for seed in range(2):
+            pool.submit_chunk([np.random.SeedSequence(seed)], False, print, print)
+        deadline = time.monotonic() + 30
+        while len(list(tmp_path.iterdir())) < 2:
+            assert time.monotonic() < deadline, "the workers never started"
+            time.sleep(0.01)
+        stopper = threading.Thread(target=pool.terminate, daemon=True)
+        stopper.start()
+        stopper.join(15)
+        assert not stopper.is_alive(), "terminate() is still blocked"
+        assert not any(p.is_alive() for p in procs)
+        assert pool.processes == []
+
+    def test_reply_that_does_not_pickle_names_the_problem(self):
+        with TrialPool(RaisesUnpicklable(), path_graph(4), workers=2) as pool:
+            with pytest.raises(RuntimeError, match="does not pickle"):
+                pool.run(8, seed=0)
+            # The worker lives on.
+            assert len(pool.processes) == 2

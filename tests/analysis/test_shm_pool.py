@@ -1,11 +1,13 @@
-"""TrialPool over the shared-memory graph transport (fork and spawn)."""
+"""TrialPool on worker processes (fork and spawn): its chunk contract,
+its start method and its lifecycle.  The shared-memory graph plane
+these tests first covered is gone; graphs now cross a worker's pipe
+once (tests/graphs/test_shm.py)."""
 
 import multiprocessing as mp
 import threading
 
 import numpy as np
 import pytest
-from multiprocessing import shared_memory
 
 from repro.analysis.montecarlo import (
     TrialPool,
@@ -19,24 +21,11 @@ from repro.graphs import random_tree
 from repro.obs.metrics import MetricsRegistry, set_enabled
 from repro.obs.remote import RemoteTelemetry
 from repro.runtime.rng import spawn_trial_seeds
+from tests.pool_probes import count_graph_sends
 
 
 def _tree(n=40, seed=3):
     return random_tree(n, seed).graph
-
-
-def _segment_gone(name: str) -> bool:
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return True
-    seg.close()
-    return False
-
-
-def _handle_names(pool: TrialPool) -> list[str]:
-    handle = pool._shared.handle
-    return [handle.edges.name, handle.indptr.name, handle.indices.name]
 
 
 def _submit(pool: TrialPool, chunk, vectorized: bool) -> np.ndarray:
@@ -87,13 +76,11 @@ class TestShmPool:
         alg = FastLuby()
         inline = run_trials(alg, graph, 48, seed=5)
         pool = TrialPool(alg, graph, workers=2, context="fork")
-        assert pool.transport == "shm"
-        names = _handle_names(pool)
+        procs = pool.processes
         est = pool.run(48, seed=5)
         pool.close()
         assert np.array_equal(inline.counts, est.counts)
-        for name in names:
-            assert _segment_gone(name)
+        assert not any(p.is_alive() for p in procs)
 
     @pytest.mark.slow
     def test_spawn_pool_matches_inline_and_reclaims(self):
@@ -103,13 +90,11 @@ class TestShmPool:
         alg = FastLuby()
         inline = run_trials(alg, graph, 32, seed=5)
         pool = TrialPool(alg, graph, workers=2, context="spawn")
-        assert pool.transport == "shm"
-        names = _handle_names(pool)
+        procs = pool.processes
         est = pool.run(32, seed=5)
         pool.close()
         assert np.array_equal(inline.counts, est.counts)
-        for name in names:
-            assert _segment_gone(name)
+        assert not any(p.is_alive() for p in procs)
 
     @pytest.mark.parametrize("merge", [False, True], ids=["drop", "merge"])
     @pytest.mark.parametrize("vectorized", [False, True], ids=["exact", "vector"])
@@ -149,12 +134,12 @@ class TestShmPool:
             assert merged() == ((1, trials) if merge else (0, 0))
 
     def test_terminate_reclaims_segments(self):
-        graph = _tree()
-        pool = TrialPool(FastLuby(), graph, workers=2)
-        names = _handle_names(pool)
+        pool = TrialPool(FastLuby(), _tree(), workers=2)
+        procs = pool.processes
         pool.terminate()
-        for name in names:
-            assert _segment_gone(name)
+        assert len(procs) == 2
+        assert not any(p.is_alive() for p in procs)
+        assert pool.processes == []
 
     def test_close_idempotent(self):
         pool = TrialPool(FastLuby(), _tree(), workers=2)
@@ -162,45 +147,49 @@ class TestShmPool:
         pool.close()
 
 
+@pytest.fixture
+def sends(monkeypatch):
+    return count_graph_sends(monkeypatch)
+
+
 class TestTransportFallback:
-    def test_shm_false_uses_pickle(self, monkeypatch):
-        # With shm off the graph is pickled into each worker, and the
-        # counts are those of the inline run.
-        monkeypatch.setenv("REPRO_SHM", "0")
+    """One transport, with no switch and no shared memory to fall back
+    from: the graph is pickled to each worker at most once."""
+
+    def test_shm_false_uses_pickle(self, sends):
         graph = _tree()
         alg = FastLuby()
         inline = run_trials(alg, graph, 32, seed=5)
-        pool = TrialPool(alg, graph, workers=2)
-        assert pool.transport == "pickle"
-        est = pool.run(32, seed=5)
-        pool.close()
+        with TrialPool(alg, graph, workers=2) as pool:
+            est = pool.run(32, seed=5)
+            est_again = pool.run(32, seed=5)
         assert np.array_equal(inline.counts, est.counts)
+        assert np.array_equal(inline.counts, est_again.counts)
+        assert 1 <= sum(sends.values()) <= 2
 
-    def test_env_kill_switch(self, monkeypatch):
+    def test_env_kill_switch(self, monkeypatch, sends):
         monkeypatch.setenv("REPRO_SHM", "0")
-        pool = TrialPool(FastLuby(), _tree(), workers=2)
-        assert pool.transport == "pickle"
-        assert pool._shared is None
-        pool.close()
+        with TrialPool(FastLuby(), _tree(), workers=2) as pool:
+            assert not hasattr(pool, "transport")
+            pool.run(32, seed=5)
+        assert 1 <= sum(sends.values()) <= 2
 
-    def test_inline_pool_has_inline_transport(self):
-        pool = TrialPool(FastLuby(), _tree(), workers=1)
-        assert pool.transport == "inline"
-        pool.close()
+    def test_inline_pool_has_inline_transport(self, sends):
+        with TrialPool(FastLuby(), _tree(), workers=1) as pool:
+            assert pool.processes == []
+            pool.run(32, seed=5)
+        assert not sends
 
     def test_shm_unavailable_falls_back(self, monkeypatch):
-        from repro.analysis import montecarlo
-        from repro.graphs.shm import ShmUnavailable
+        from multiprocessing import shared_memory
 
-        def boom(graph):
-            raise ShmUnavailable("simulated")
+        def unavailable(*args, **kwargs):
+            raise OSError("no shared memory on this host")
 
-        monkeypatch.setattr(montecarlo, "export_graph", boom)
+        monkeypatch.setattr(shared_memory, "SharedMemory", unavailable)
         graph = _tree()
         alg = FastLuby()
-        pool = TrialPool(alg, graph, workers=2)
-        assert pool.transport == "pickle"
-        est = pool.run(32, seed=5)
-        pool.close()
+        with TrialPool(alg, graph, workers=2) as pool:
+            est = pool.run(32, seed=5)
         inline = run_trials(alg, graph, 32, seed=5)
         assert np.array_equal(inline.counts, est.counts)

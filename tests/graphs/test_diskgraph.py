@@ -224,25 +224,20 @@ class TestIoDispatch:
 
 class TestSharedGraphExport:
     def test_export_from_memmap_loaded_graph(self, tmp_path):
-        from repro.graphs import shm_enabled
-        from repro.graphs.shm import ShmUnavailable, detach_all, export_graph
-        from repro.graphs.shm import attach_graph as _attach
+        # A memmap-loaded graph sent to a pool worker arrives equal to the
+        # original, with its content hash and CSR.
+        from repro.analysis.montecarlo import TrialPool
+        from repro.runtime.rng import spawn_trial_seeds
+        from tests.pool_probes import GraphCheck
 
-        if not shm_enabled():
-            pytest.skip("shared memory disabled")
         g = _tree()
         p = tmp_path / "g.reprograph"
         save_reprograph(p, g)
         loaded = load_reprograph(p)
-        try:
-            shared = export_graph(loaded)
-        except ShmUnavailable:
-            pytest.skip("no /dev/shm")
-        try:
-            attached = _attach(shared.handle)
-            assert attached == g
-            assert attached.content_hash() == g.content_hash()
-            assert np.array_equal(attached._csr[0], g._csr[0])
-        finally:
-            detach_all()
-            shared.close()
+        failures = []
+        with TrialPool(GraphCheck(g), loaded, workers=2) as pool:
+            pool.submit_chunk(
+                spawn_trial_seeds(0, 2), False, lambda counts: None, failures.append
+            )
+            pool.run(8, seed=1)
+        assert failures == []

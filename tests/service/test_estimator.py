@@ -14,15 +14,19 @@ The ISSUE-level guarantees checked here:
   shutdown fails every pending request at once, and submitting
   afterwards raises;
 * one worker set serves the estimator's whole life, whatever graphs and
-  algorithms it runs, and its workers share the parent's resource
-  tracker.
+  algorithms it runs, sends each graph to each worker at most once and
+  starts no resource tracker;
+* a killed worker costs no request: its chunk is re-sent once, and a
+  chunk that kills its second worker too fails with ``WorkerLost``.
 """
 
 import multiprocessing as mp
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -30,8 +34,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_trials
-from repro.analysis.montecarlo import chunk_counts, vector_chunk_counts
+from repro.analysis.montecarlo import WorkerLost, chunk_counts, vector_chunk_counts
 from repro.core import make
+from repro.core.registry import _REGISTRY, register
+from repro.core.result import MISResult
 from repro.fast.batched import disjoint_power_cache_clear
 from repro.graphs import build_graph, empty_graph
 from repro.service import (
@@ -40,6 +46,7 @@ from repro.service import (
     Estimator,
     Precision,
 )
+from tests.pool_probes import count_graph_sends
 
 TREE = "tree:40:3"
 
@@ -392,10 +399,10 @@ class TestWorkerSet:
             assert not proc.is_alive()
         assert _shm_segments() - before == set()
 
-    def test_concurrent_pairs_share_one_export_per_graph(self):
-        # Three algorithms hold each graph's export at once; the last of
-        # them to settle unlinks it, before the service shuts down.
-        before = _shm_segments()
+    def test_concurrent_pairs_share_one_export_per_graph(self, monkeypatch):
+        # Three algorithms run on each graph at once; each worker receives
+        # each graph at most once.
+        sends = count_graph_sends(monkeypatch)
         cells = [(spec, alg) for spec in self.GRAPHS[:2] for alg in self.ALGORITHMS]
         with Estimator(n_jobs=2, clamp_to_host=False, chunk_trials=16) as svc:
             handles = [
@@ -406,11 +413,13 @@ class TestWorkerSet:
                 serial = run_trials(make(alg), build_graph(spec), 64, seed=9)
                 counts = handle.result(timeout=120).estimate.counts
                 assert np.array_equal(counts, serial.counts)
-            assert _shm_segments() - before == set()
+        per_graph = {spec: sends[build_graph(spec).content_hash()] for spec in self.GRAPHS[:2]}
+        assert all(1 <= count <= 2 for count in per_graph.values()), per_graph
+        assert sum(sends.values()) == sum(per_graph.values())
 
     def test_workers_share_the_parent_resource_tracker(self):
-        # A worker with a tracker of its own warns about "leaked"
-        # segments when it exits, and unlinks them under the exporter.
+        # No worker starts a resource tracker of its own, which would
+        # warn about "leaked" resources when it exits.
         code = textwrap.dedent(
             f"""
             from repro.service import Estimator
@@ -428,3 +437,96 @@ class TestWorkerSet:
         )
         assert run.returncode == 0, run.stderr
         assert "resource_tracker" not in run.stderr, run.stderr
+
+
+KILLER = "svc_test_kills_its_worker"
+
+
+class KillsItsWorker:
+    """SIGKILLs the worker process that runs it.  Module level so a
+    spawn-started worker can unpickle it."""
+
+    name = KILLER
+
+    def run(self, graph, rng) -> MISResult:
+        if mp.parent_process() is None:
+            raise RuntimeError("runs only in a pool worker")
+        os.kill(os.getpid(), signal.SIGKILL)
+        return MISResult(np.zeros(graph.n, dtype=bool))
+
+
+class TestWorkerLoss:
+    """A worker that dies costs no request, except a chunk whose second
+    worker dies too; every wait is bounded."""
+
+    SLOW = {"delay_s": 0.25}  # 1 s chunks of 4 trials
+
+    @staticmethod
+    def _lost(svc) -> float:
+        return svc.registry.counter("pool_workers_lost_total").value
+
+    @staticmethod
+    def _wait_for_workers(svc, count: int) -> None:
+        deadline = time.monotonic() + 30
+        while len(svc._scheduler.worker_processes()) != count:
+            assert time.monotonic() < deadline, "the dead worker was never noticed"
+            time.sleep(0.01)
+
+    def test_worker_killed_mid_chunk(self, slow_algorithm):
+        svc = Estimator(n_jobs=2, clamp_to_host=False, chunk_trials=4)
+        try:
+            kwargs = dict(graph_spec="path:8", trials=8, seed=4, mode="exact")
+            handle = svc.submit(algorithm=slow_algorithm, params=self.SLOW, **kwargs)
+            time.sleep(0.5)  # each worker is inside its chunk
+            os.kill(svc._scheduler.worker_processes()[0].pid, signal.SIGKILL)
+            result = handle.result(timeout=30)
+            serial = run_trials(
+                make(slow_algorithm, delay_s=0.0), build_graph("path:8"), 8, seed=4
+            )
+            assert np.array_equal(result.estimate.counts, serial.counts)
+            assert len(svc._scheduler.worker_processes()) == 1
+            assert self._lost(svc) == 1
+            # The re-sent chunk's telemetry merged once.
+            assert svc.registry.counter("telemetry_chunks_merged_total").value == 2
+        finally:
+            svc.shutdown(wait=False)
+
+    def test_idle_worker_killed_then_graceful_shutdown(self, slow_algorithm):
+        svc = Estimator(n_jobs=2, clamp_to_host=False, chunk_trials=4)
+        svc.estimate(
+            graph_spec="path:8", algorithm=slow_algorithm, trials=8, seed=1, mode="exact"
+        )
+        procs = svc._scheduler.worker_processes()
+        os.kill(procs[0].pid, signal.SIGKILL)
+        self._wait_for_workers(svc, 1)
+        assert self._lost(svc) == 1
+        stopper = threading.Thread(target=svc.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(30)
+        assert not stopper.is_alive(), "shutdown(wait=True) hung"
+        assert not any(p.is_alive() for p in procs)
+
+    @pytest.fixture
+    def killer(self):
+        register(KILLER)(KillsItsWorker)
+        yield KILLER
+        del _REGISTRY[KILLER]
+
+    def test_chunk_that_kills_two_workers_fails_with_worker_lost(self, killer):
+        svc = Estimator(n_jobs=2, clamp_to_host=False, chunk_trials=4)
+        try:
+            handle = svc.submit(
+                graph_spec="path:8", algorithm=killer, trials=4, seed=0, mode="exact"
+            )
+            with pytest.raises(WorkerLost):
+                handle.result(timeout=30)
+            # Sent once more after the first death, never a third time.
+            assert self._lost(svc) == 2
+            self._wait_for_workers(svc, 0)
+            later = svc.submit(
+                graph_spec="path:6", algorithm="luby_fast", trials=8, seed=1, mode="exact"
+            )
+            with pytest.raises(WorkerLost):
+                later.result(timeout=5)
+        finally:
+            svc.shutdown(wait=False)
